@@ -54,9 +54,13 @@ final case class IngestionReport(
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
   *
-  * The computing transform is built once before the feed starts (the
-  * predeployed-job optimization); each invocation only rebinds the batch
-  * and — in Dynamic mode — the reference snapshot.
+  * The enrichment function is fixed before the feed starts; each
+  * invocation plans it afresh over the batch and the reference snapshots.
+  * What is reused across invocations is the reference side: each
+  * [[repro.refstore.ReferenceStore]] materializes its merged view once per
+  * version, so in Dynamic mode every batch that starts between two upserts
+  * broadcasts the same local relation, and only the first batch after an
+  * upsert pays for building a new one.
   */
 object IngestionFramework {
 

@@ -39,14 +39,16 @@ object PredeployedJob {
   /** SQL texts for the ad-hoc path (the subset of enrichments the
     * predeployed-vs-adhoc bench exercises). `__batch` is the per-invocation
     * batch view; reference views are bound per invocation too, mirroring a
-    * fresh INSERT..SELECT statement compilation.
+    * fresh INSERT..SELECT statement compilation. The hints broadcast the
+    * reference side exactly as [[Enrichments]] does, so the two paths differ
+    * only in re-parsing and re-analyzing, not in join strategy.
     */
   val adhocSql: Map[String, String] = Map(
     "safety_rating" ->
-      """SELECT t.*, s.safety_rating
+      """SELECT /*+ BROADCAST(s) */ t.*, s.safety_rating
         |FROM __batch t LEFT JOIN __safety_ratings s ON t.country = s.country_code""".stripMargin,
     "religious_population" ->
-      """SELECT t.*, p.religious_population
+      """SELECT /*+ BROADCAST(p) */ t.*, p.religious_population
         |FROM __batch t LEFT JOIN (
         |  SELECT country_name, SUM(population) AS religious_population
         |  FROM __religious_populations GROUP BY country_name

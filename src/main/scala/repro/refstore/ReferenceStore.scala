@@ -4,24 +4,32 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
 
 /** A versioned, upsertable reference dataset — the analog of an AsterixDB
   * dataset backed by an LSM tree.
   *
   * The immutable `base` DataFrame plays the role of the on-disk LSM
-  * components; the in-memory delta map plays the role of the LSM memory
-  * component that an `UPSERT` activates. `snapshot()` merges the two with
-  * last-writer-wins semantics on the primary key. When no update has ever
-  * arrived, `snapshot()` returns the base directly (the paper's observation
-  * that the *first* update changes the access path — and measurably slows
-  * readers — is mirrored by this fast path disappearing).
+  * components; the delta map plays the role of the LSM memory component
+  * that an `UPSERT` activates. When no update has ever arrived,
+  * `snapshot()` returns the base directly (the paper's observation that the
+  * *first* update changes the access path is mirrored by this fast path
+  * disappearing).
+  *
+  * Once a store has a delta, `snapshot()` merges base and delta with
+  * last-writer-wins semantics on the primary key on the driver: base rows
+  * whose key the delta replaces are dropped and the delta rows appended.
+  * The merged rows become one local relation, built once per version and
+  * shared by every reader of that version, so its plan has the same size
+  * however large the delta grows. The base rows are collected on the first
+  * snapshot after the first upsert and kept for the store's lifetime; a
+  * store that is never upserted never collects them.
   *
   * Thread-safe: the ingestion pipeline reads snapshots while an updater
-  * thread upserts (paper §7.3). Each snapshot is an immutable plan over a
-  * frozen copy of the delta, so a computing job sees exactly the updates
-  * applied before it started — the record-level consistency model the paper
-  * assumes.
+  * thread upserts (paper §7.3). An upsert applies all of its rows and bumps
+  * the version together, or nothing at all. Each snapshot holds its own
+  * copy of the merged rows, so a computing job sees exactly the updates
+  * applied before it started — the record-level consistency model the
+  * paper assumes.
   */
 final class ReferenceStore(
     val name: String,
@@ -31,9 +39,12 @@ final class ReferenceStore(
 
   private val pkIdx = base.schema.fieldIndex(primaryKey)
   private val delta = mutable.LinkedHashMap.empty[String, Row]
+  private lazy val baseRows: Array[Row] = base.collect()
   private var ver: Long = 0L
   private var cachedVer: Long = -1L
   private var cachedSnap: DataFrame = base
+
+  private def key(r: Row): String = String.valueOf(r.get(pkIdx))
 
   /** Number of upsert calls applied so far (monotonic). */
   def version: Long = synchronized(ver)
@@ -42,14 +53,15 @@ final class ReferenceStore(
   def deltaSize: Int = synchronized(delta.size)
 
   /** UPSERT: insert rows, replacing any existing row with the same key
-    * (paper footnote 1). Rows must match the base schema.
+    * (paper footnote 1). Rows must match the base schema; if any row does
+    * not, the call throws and the store is left unchanged.
     */
   def upsert(rows: Seq[Row]): Unit = synchronized {
     rows.foreach { r =>
       require(r.size == base.schema.size,
         s"$name: upsert row arity ${r.size} != schema arity ${base.schema.size}")
-      delta(String.valueOf(r.get(pkIdx))) = r
     }
+    rows.foreach(r => delta(key(r)) = r)
     ver += 1
   }
 
@@ -57,19 +69,16 @@ final class ReferenceStore(
   def upsertProducts(ps: Seq[Product]): Unit =
     upsert(ps.map(p => Row.fromSeq(p.productIterator.toSeq)))
 
-  /** Current merged view. Cached per version so repeated reads between
-    * updates (e.g. several UDFs sharing one store) build the plan once.
+  /** Current merged view, cached per version so every batch and UDF that
+    * reads one version shares one local relation.
     */
   def snapshot(): DataFrame = synchronized {
     if (ver == cachedVer) return cachedSnap
     val snap =
       if (delta.isEmpty) base
       else {
-        val deltaDf = spark.createDataFrame(delta.values.toList.asJava, base.schema)
-        val keys = delta.keys.toSeq
-        base
-          .where(!col(primaryKey).cast("string").isin(keys: _*))
-          .unionByName(deltaDf)
+        val merged = baseRows.iterator.filterNot(r => delta.contains(key(r))) ++ delta.valuesIterator
+        spark.createDataFrame(merged.toVector.asJava, base.schema)
       }
     cachedVer = ver
     cachedSnap = snap

@@ -13,6 +13,7 @@ import org.apache.spark.sql.functions._
   * and probes only the 3x3 neighborhood of each query point — the same
   * candidate-pruning role the paper's R-Tree plays — while `naiveJoin` is
   * the hint-forced cross product + filter ("Naive Nearby Monuments").
+  * Both joins broadcast the reference side.
   */
 object Spatial {
 
@@ -49,7 +50,7 @@ object Spatial {
     */
   def naiveJoin(probe: DataFrame, px: String, py: String,
                 ref: DataFrame, rx: String, ry: String, r: Double): DataFrame =
-    probe.crossJoin(ref)
+    probe.crossJoin(broadcast(ref))
       .where(withinCol(col(px), col(py), col(rx), col(ry), r))
 
   /** Grid-indexed spatial join, equivalent to [[naiveJoin]] but pruning by
@@ -63,7 +64,7 @@ object Spatial {
     val cell = lit(r)
     // Reference points land in their own cell; probe points explode to the
     // 3x3 neighborhood so every candidate within r shares a join key.
-    val refCells = ref
+    val refCells = broadcast(ref)
       .withColumn("__rcx", floor(col(rx) / cell))
       .withColumn("__rcy", floor(col(ry) / cell))
     val offsets = array((-1 to 1).flatMap(dx => (-1 to 1).map(dy => struct(lit(dx) as "dx", lit(dy) as "dy"))): _*)

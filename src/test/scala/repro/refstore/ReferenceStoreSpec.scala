@@ -1,6 +1,8 @@
 package repro.refstore
 
 import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.expressions.{In, InSet}
+import org.apache.spark.sql.catalyst.plans.logical.{LocalRelation, LogicalPlan}
 
 import repro.SparkSpec
 import repro.data.{SafetyRating, TweetData}
@@ -89,6 +91,35 @@ class ReferenceStoreSpec extends SparkSpec {
   test("upsert rejects rows of wrong arity") {
     val s = freshStore(5)
     intercept[IllegalArgumentException] { s.upsert(Seq(Row("only-one-field"))) }
+  }
+
+  test("an upsert with one bad row leaves the store unchanged") {
+    val s = freshStore(5)
+    s.upsertProducts(Seq(SafetyRating("F1", "A")))
+    val before = s.snapshot().collect().toSet
+    intercept[IllegalArgumentException] {
+      s.upsert(Seq(Row("F2", "B"), Row("F1", "C"), Row("only-one-field"), Row("F3", "D")))
+    }
+    assert(s.version == 1)
+    assert(s.deltaSize == 1)
+    assert(s.snapshot().collect().toSet == before)
+  }
+
+  test("the snapshot plan is one local relation whatever the delta size") {
+    def plansAfter(freshKeys: Int): LogicalPlan = {
+      val s = freshStore(20)
+      s.upsertProducts((0 until freshKeys).map(i => SafetyRating(f"P$i%05d", "A")))
+      val plan = s.snapshot().queryExecution.optimizedPlan
+      assert(s.snapshot().count() == 20 + freshKeys)
+      plan
+    }
+    val small = plansAfter(10)
+    val large = plansAfter(1000)
+    for (plan <- Seq(small, large)) {
+      assert(plan.isInstanceOf[LocalRelation], plan.treeString)
+      assert(plan.flatMap(_.expressions.flatMap(_.collect { case e @ (_: In | _: InSet) => e })).isEmpty)
+    }
+    assert(small.output.map(a => (a.name, a.dataType)) == large.output.map(a => (a.name, a.dataType)))
   }
 
   test("bulk upsert of 500 rows merges correctly") {
