@@ -1,5 +1,7 @@
 package repro.bench
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
 import repro.core._
 import repro.data.TweetData
@@ -14,20 +16,20 @@ class PredeployedJobBench extends SparkSpec {
     val stores = RefStoreSet.create(spark)
     val batches = (0 until 40).map(i => TweetData.tweets(spark, 420, seed = i))
 
-    def timeAll(job: PredeployedJob.ComputingJob): Double = {
+    def timeAll(job: DataFrame => DataFrame): Double = {
       val t0 = System.nanoTime()
-      batches.foreach(b => job.invoke(b).collect())
+      batches.foreach(b => job(b).collect())
       (System.nanoTime() - t0) / 1e6 / batches.size
     }
 
     // Warm both paths once so JIT/codegen caches don't bias the comparison.
-    PredeployedJob.predeployed(Enrichments.safetyRating, () => stores.snapshot)
-      .invoke(batches.head).collect()
-    PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot)
-      .invoke(batches.head).collect()
+    def predeployed = PredeployedJob.predeployed(SqlEnrichment("safety_rating"), Dynamic, stores)
+    def adhoc = PredeployedJob.adhoc(spark, "safety_rating", stores)
+    predeployed(batches.head).collect()
+    adhoc(batches.head).collect()
 
-    val adhocMs = timeAll(PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot))
-    val preMs = timeAll(PredeployedJob.predeployed(Enrichments.safetyRating, () => stores.snapshot))
+    val adhocMs = timeAll(adhoc)
+    val preMs = timeAll(predeployed)
 
     BenchUtil.banner("Predeployed vs ad-hoc computing jobs (ms per invocation, 420-record batches)")
     BenchUtil.row("path", "ms/invocation")

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 
 import repro.data.Tweet
@@ -48,19 +48,25 @@ final case class IngestionReport(
   *  - **intake job** — a [[FeedSource]] thread frames tweets into a passive
   *    [[PartitionHolder]] and closes it with EOF when the feed stops;
   *  - **computing job** — invoked repeatedly (this loop is the Active Feed
-  *    Manager): pull one batch, parse it into a DataFrame, evaluate the
-  *    attached UDF against the *current* reference snapshot (Dynamic) or
-  *    the feed-start snapshot (Static), and push the enriched frame on;
+  *    Manager): pull one batch, parse it into a DataFrame, apply the
+  *    predeployed job built by [[PredeployedJob.predeployed]], and push the
+  *    enriched frame on;
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
   *
-  * The enrichment function is fixed before the feed starts; each
-  * invocation plans it afresh over the batch and the reference snapshots.
-  * What is reused across invocations is the reference side: each
-  * [[repro.refstore.ReferenceStore]] materializes its merged view once per
-  * version, so in Dynamic mode every batch that starts between two upserts
-  * broadcasts the same local relation, and only the first batch after an
-  * upsert pays for building a new one.
+  * The computing job is built once, before the feed starts; each
+  * invocation rebinds only the batch (and, in Dynamic mode, the current
+  * reference snapshot). Each [[repro.refstore.ReferenceStore]]
+  * materializes its merged view once per version, so in Dynamic mode every
+  * batch that starts between two upserts broadcasts the same local
+  * relation, and only the first batch after an upsert pays for building a
+  * new one.
+  *
+  * The computing models of §4.3 are parameter choices of [[run]]:
+  * Model 1 (per record) is `batchSize = 1` in Dynamic mode, Model 2 (per
+  * batch, the framework default) is Dynamic mode, and Model 3 (the stream
+  * as an infinite dataset, state built once and never refreshed) is Static
+  * mode.
   */
 object IngestionFramework {
 
@@ -96,11 +102,9 @@ object IngestionFramework {
       }, s"storage-job-$runId")
       storageThread.setDaemon(true)
 
-      // Static mode freezes state before the feed starts.
-      val staticJava: Option[JavaUdfs.CompiledJavaUdf] = (mode, spec) match {
-        case (Static, JavaEnrichment(name)) => Some(JavaUdfs.compile(name, stores.staticRefs))
-        case _ => None
-      }
+      // Built before the clock starts: Static state is frozen at feed start,
+      // outside any computing job's time.
+      val job = PredeployedJob.predeployed(spec, mode, stores)
 
       val batchDurations = ArrayBuffer.empty[Long]
       val t0 = System.nanoTime()
@@ -116,16 +120,7 @@ object IngestionFramework {
       while (next.isDefined) {
         val batch = next.get
         val b0 = System.nanoTime()
-        val batchDf = spark.createDataFrame(batch)
-        val enriched: DataFrame = spec match {
-          case NoEnrichment => batchDf
-          case SqlEnrichment(name) =>
-            val refs = if (mode == Dynamic) stores.snapshot else stores.staticRefs
-            Enrichments.byName(name)(batchDf, refs)
-          case JavaEnrichment(name) =>
-            val compiled = staticJava.getOrElse(JavaUdfs.compile(name, stores.snapshot))
-            compiled.apply(batchDf)
-        }
+        val enriched = job(spark.createDataFrame(batch))
         val rows = enriched.collect().toSeq
         storageHolder.push((rows, enriched.schema))
         batchDurations += (System.nanoTime() - b0) / 1000000L
@@ -145,29 +140,4 @@ object IngestionFramework {
       PartitionHolderManager.unregister(storageHolder.id)
     }
   }
-}
-
-/** The three computing models of §4.3, expressed through the framework. */
-object ComputingModels {
-
-  /** Model 1 — evaluate the UDF per record (batch size 1): sees every
-    * reference change, maximal overhead.
-    */
-  def model1(spark: SparkSession, tweets: Seq[Tweet], spec: EnrichmentSpec,
-             stores: RefStoreSet, onBatchDone: Int => Unit = _ => ()): IngestionReport =
-    IngestionFramework.run(spark, tweets, 1, spec, Dynamic, stores, onBatchDone = onBatchDone)
-
-  /** Model 2 — evaluate per batch: the framework default; reference changes
-    * are visible at batch granularity.
-    */
-  def model2(spark: SparkSession, tweets: Seq[Tweet], batchSize: Int, spec: EnrichmentSpec,
-             stores: RefStoreSet, onBatchDone: Int => Unit = _ => ()): IngestionReport =
-    IngestionFramework.run(spark, tweets, batchSize, spec, Dynamic, stores, onBatchDone = onBatchDone)
-
-  /** Model 3 — treat the stream as an infinite dataset: state is built once
-    * and never refreshed (the stale baseline).
-    */
-  def model3(spark: SparkSession, tweets: Seq[Tweet], batchSize: Int, spec: EnrichmentSpec,
-             stores: RefStoreSet, onBatchDone: Int => Unit = _ => ()): IngestionReport =
-    IngestionFramework.run(spark, tweets, batchSize, spec, Static, stores, onBatchDone = onBatchDone)
 }

@@ -48,20 +48,14 @@ final class RefStoreSet(
     religiousBuildings, facilities, sensitiveNames, districts, averageIncomes,
     residents, attackEvents)
 
-  def snapshot: Refs = Refs(
-    sensitiveWords.snapshot(), safetyRatings.snapshot(),
-    religiousPopulations.snapshot(), suspects.snapshot(), monuments.snapshot(),
-    religiousBuildings.snapshot(), facilities.snapshot(),
-    sensitiveNames.snapshot(), districts.snapshot(), averageIncomes.snapshot(),
-    residents.snapshot(), attackEvents.snapshot())
+  def snapshot: Refs = refs(_.snapshot())
 
-  val staticRefs: Refs = Refs(
-    sensitiveWords.staticSnapshot, safetyRatings.staticSnapshot,
-    religiousPopulations.staticSnapshot, suspects.staticSnapshot,
-    monuments.staticSnapshot, religiousBuildings.staticSnapshot,
-    facilities.staticSnapshot, sensitiveNames.staticSnapshot,
-    districts.staticSnapshot, averageIncomes.staticSnapshot,
-    residents.staticSnapshot, attackEvents.staticSnapshot)
+  val staticRefs: Refs = refs(_.staticSnapshot)
+
+  private def refs(f: ReferenceStore => DataFrame): Refs = Refs(
+    f(sensitiveWords), f(safetyRatings), f(religiousPopulations), f(suspects),
+    f(monuments), f(religiousBuildings), f(facilities), f(sensitiveNames),
+    f(districts), f(averageIncomes), f(residents), f(attackEvents))
 }
 
 object RefStoreSet {

@@ -1,19 +1,21 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.{Dataset, Row, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.data.Tweet
 import repro.feed.StorageSink
 
-/** Structured Streaming face of the framework: the same computing-job
-  * function driven by `foreachBatch` over a micro-batched stream.
+/** Structured Streaming face of the framework: the computing job built by
+  * [[PredeployedJob.predeployed]], driven by `foreachBatch` over a
+  * micro-batched stream instead of the explicit intake / storage holders of
+  * [[IngestionFramework]].
   *
-  * Each micro-batch re-reads the reference snapshot (Dynamic) before
-  * applying the enrichment — the standard Spark recipe for enrichment joins
-  * against reference data that changes underneath a stream. The explicit
-  * [[IngestionFramework]] and this driver must produce identical rows for
-  * identical inputs; a test asserts it.
+  * The job is built once, before the query starts, and invoked once per
+  * micro-batch; in Dynamic mode each invocation re-reads the reference
+  * snapshot — the standard Spark recipe for enrichment joins against
+  * reference data that changes underneath a stream. The two drivers must
+  * produce identical rows for identical inputs; a test asserts it.
   */
 object StreamingDriver {
 
@@ -31,29 +33,13 @@ object StreamingDriver {
     val sink = new StorageSink()
     val stream = MemoryStream[Tweet]
 
-    val staticJava: Option[JavaUdfs.CompiledJavaUdf] = (mode, spec) match {
-      case (Static, JavaEnrichment(name)) => Some(JavaUdfs.compile(name, stores.staticRefs))
-      case _ => None
-    }
-    val staticRefs = stores.staticRefs
+    val job = PredeployedJob.predeployed(spec, mode, stores)
 
     val query = stream.toDF().writeStream
       .outputMode("append")
       .foreachBatch { (batchDf: Dataset[Row], _: Long) =>
-        val df = batchDf
-        if (!df.isEmpty) {
-          val enriched: DataFrame = spec match {
-            case NoEnrichment => df
-            case SqlEnrichment(name) =>
-              val refs = if (mode == Dynamic) stores.snapshot else staticRefs
-              Enrichments.byName(name)(df, refs)
-            case JavaEnrichment(name) =>
-              val compiled = staticJava.getOrElse(JavaUdfs.compile(name, stores.snapshot))
-              compiled.apply(df)
-          }
-          sink.append(enriched.collect().toSeq, enriched.schema)
-        }
-        ()
+        val enriched = job(batchDf)
+        sink.append(enriched.collect().toSeq, enriched.schema)
       }
       .start()
 

@@ -70,10 +70,5 @@ object PartitionHolderManager {
     holder
   }
 
-  def lookup[T](id: String): Option[PartitionHolder[T]] =
-    Option(holders.get(id)).map(_.asInstanceOf[PartitionHolder[T]])
-
   def unregister(id: String): Unit = holders.remove(id)
-
-  def clear(): Unit = holders.clear()
 }

@@ -12,11 +12,13 @@ import org.apache.spark.sql.types.StructType
   *
   * Locally, a "storage partition" is an in-memory row buffer; the final
   * dataset is materialized back to a DataFrame for verification queries.
+  * Every record is keyed by its `id` and spread over four partitions.
   */
-final class StorageSink(val numPartitions: Int = 4, val primaryKey: String = "id") {
-  require(numPartitions > 0)
+final class StorageSink {
+  private val NumPartitions = 4
+  private val PrimaryKey = "id"
 
-  private val partitions = Array.fill(numPartitions)(ArrayBuffer.empty[Row])
+  private val partitions = Array.fill(NumPartitions)(ArrayBuffer.empty[Row])
   @volatile private var schema: StructType = _
   @volatile private var rows: Long = 0L
 
@@ -25,9 +27,9 @@ final class StorageSink(val numPartitions: Int = 4, val primaryKey: String = "id
     if (schema == null) schema = frameSchema
     else require(schema == frameSchema,
       s"storage schema changed mid-feed: $schema vs $frameSchema")
-    val pkIdx = frameSchema.fieldIndex(primaryKey)
+    val pkIdx = frameSchema.fieldIndex(PrimaryKey)
     frame.foreach { r =>
-      val p = math.floorMod(String.valueOf(r.get(pkIdx)).hashCode, numPartitions)
+      val p = math.floorMod(String.valueOf(r.get(pkIdx)).hashCode, NumPartitions)
       partitions(p) += r
     }
     rows += frame.size

@@ -107,7 +107,7 @@ class IngestionFrameworkSpec extends SparkSpec {
   }
 
   test("Model 1 evaluates one computing job per record") {
-    val r = ComputingModels.model1(spark, TweetData.localTweets(12), SqlEnrichment("safety_rating"), freshStores())
+    val r = IngestionFramework.run(spark, TweetData.localTweets(12), 1, SqlEnrichment("safety_rating"), Dynamic, freshStores())
     assert(r.batches == 12)
     assert(r.sink.count == 12)
   }
@@ -116,9 +116,9 @@ class IngestionFrameworkSpec extends SparkSpec {
     val tweets = TweetData.localTweets(60)
     def rows(r: IngestionReport) =
       r.sink.toDf(spark).select("id", "safety_rating").orderBy("id").collect().map(_.toString).toSeq
-    val m1 = rows(ComputingModels.model1(spark, tweets, SqlEnrichment("safety_rating"), freshStores()))
-    val m2 = rows(ComputingModels.model2(spark, tweets, 20, SqlEnrichment("safety_rating"), freshStores()))
-    val m3 = rows(ComputingModels.model3(spark, tweets, 20, SqlEnrichment("safety_rating"), freshStores()))
+    val m1 = rows(IngestionFramework.run(spark, tweets, 1, SqlEnrichment("safety_rating"), Dynamic, freshStores()))
+    val m2 = rows(IngestionFramework.run(spark, tweets, 20, SqlEnrichment("safety_rating"), Dynamic, freshStores()))
+    val m3 = rows(IngestionFramework.run(spark, tweets, 20, SqlEnrichment("safety_rating"), Static, freshStores()))
     assert(m1 == m2)
     assert(m2 == m3)
   }

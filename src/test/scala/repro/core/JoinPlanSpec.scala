@@ -40,10 +40,9 @@ class JoinPlanSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val batch = TweetData.tweets(spark, 100)
     def joins(plan: SparkPlan): Seq[String] =
       collect(plan) { case j: BaseJoinExec => j.getClass.getSimpleName }
-    for ((name, f) <- Seq("safety_rating" -> Enrichments.safetyRating _,
-                          "religious_population" -> Enrichments.religiousPopulation _)) {
-      val pre = executed(PredeployedJob.predeployed(f, () => stores.snapshot).invoke(batch))
-      val ad = executed(PredeployedJob.adhoc(spark, name, () => stores.snapshot).invoke(batch))
+    for (name <- Seq("safety_rating", "religious_population")) {
+      val pre = executed(PredeployedJob.predeployed(SqlEnrichment(name), Dynamic, stores)(batch))
+      val ad = executed(PredeployedJob.adhoc(spark, name, stores)(batch))
       assert(joins(ad) == joins(pre), s"$name\n${ad.treeString}\n${pre.treeString}")
       assert(joins(pre) == Seq("BroadcastHashJoinExec"), name)
     }

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+
 import repro.{SparkSpec, TestRefs}
 import repro.data.{SafetyRating, TweetData}
 
@@ -14,15 +17,27 @@ class StreamingDriverSpec extends SparkSpec {
     assert(sink.count == 80)
   }
 
-  test("streaming enrichment equals the explicit framework on frozen references") {
+  // Both drivers invoke the same computing job; after batch 1 every
+  // country's rating changes, which Dynamic jobs must see and Static ones not.
+  for {
+    spec <- Seq(NoEnrichment, SqlEnrichment("safety_rating"), JavaEnrichment("safety_rating"))
+    mode <- Seq(Dynamic, Static)
+  } test(s"streaming equals framework: $spec, $mode") {
     val tweets = TweetData.localTweets(90)
-    val a = StreamingDriver.run(spark, tweets, 30, SqlEnrichment("safety_rating"),
-      Dynamic, TestRefs.small(spark))
-      .toDf(spark).select("id", "safety_rating").orderBy("id").collect().map(_.toString).toSeq
-    val b = IngestionFramework.run(spark, tweets, 30, SqlEnrichment("safety_rating"),
-      Dynamic, TestRefs.small(spark))
-      .sink.toDf(spark).select("id", "safety_rating").orderBy("id").collect().map(_.toString).toSeq
-    assert(a == b)
+    def upsertAfterFirst(stores: RefStoreSet): Int => Unit = n =>
+      if (n == 1) stores.safetyRatings.upsertProducts(TweetData.countries.map(SafetyRating(_, "TABLE")))
+    def rows(df: DataFrame) = df.orderBy("id").collect().map(_.toString).toSeq
+    val s1 = TestRefs.small(spark)
+    val streamed = StreamingDriver.run(spark, tweets, 30, spec, mode, s1, upsertAfterFirst(s1)).toDf(spark)
+    val s2 = TestRefs.small(spark)
+    val framework = IngestionFramework.run(spark, tweets, 30, spec, mode, s2,
+      onBatchDone = upsertAfterFirst(s2)).sink.toDf(spark)
+    assert(rows(streamed) == rows(framework))
+    assert(streamed.count() == 90)
+    if (spec != NoEnrichment) {
+      val updated = streamed.where(col("safety_rating") === "TABLE").count()
+      assert(updated == (if (mode == Dynamic) 60 else 0))
+    }
   }
 
   test("foreachBatch DYNAMIC sees upserts between micro-batches") {

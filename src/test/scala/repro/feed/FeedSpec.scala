@@ -65,9 +65,9 @@ class FeedSpec extends SparkSpec {
 
   // --- PartitionHolderManager --------------------------------------------
 
-  test("manager registers and looks up by id") {
-    val h = PartitionHolderManager.register(new PartitionHolder[Int]("mgr-a", 4))
-    try assert(PartitionHolderManager.lookup[Int]("mgr-a").contains(h))
+  test("manager register returns the holder") {
+    val h = new PartitionHolder[Int]("mgr-a", 4)
+    try assert(PartitionHolderManager.register(h) eq h)
     finally PartitionHolderManager.unregister("mgr-a")
   }
 
@@ -76,10 +76,6 @@ class FeedSpec extends SparkSpec {
     try intercept[IllegalArgumentException] {
       PartitionHolderManager.register(new PartitionHolder[Int]("mgr-b", 4))
     } finally PartitionHolderManager.unregister("mgr-b")
-  }
-
-  test("manager lookup of unknown id is None") {
-    assert(PartitionHolderManager.lookup[Int]("nope").isEmpty)
   }
 
   // --- FeedSource ---------------------------------------------------------
@@ -138,7 +134,7 @@ class FeedSpec extends SparkSpec {
   }
 
   test("sink hash-partitions by primary key") {
-    val s = new StorageSink(numPartitions = 4)
+    val s = new StorageSink()
     s.append((0 until 1000).map(i => Row(i.toLong)), idSchema)
     val sizes = s.partitionSizes
     assert(sizes.sum == 1000)
