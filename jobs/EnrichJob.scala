@@ -22,7 +22,7 @@ object EnrichJob {
     val spec: EnrichmentSpec =
       if (lang == "java") JavaEnrichment(name) else SqlEnrichment(name)
 
-    val spark = SparkSession.builder.appName(s"idea-enrich-$name").getOrCreate()
+    val spark = SparkSession.builder().appName(s"idea-enrich-$name").getOrCreate()
     try {
       val stores = RefStoreSet.create(spark)
       val r = IngestionFramework.run(spark, TweetData.localTweets(n), batch, spec, mode, stores)

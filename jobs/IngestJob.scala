@@ -16,7 +16,7 @@ object IngestJob {
     val batch = args.lift(1).map(_.toInt).getOrElse(1680)
     val mode: RefreshMode = if (args.lift(2).contains("static")) Static else Dynamic
 
-    val spark = SparkSession.builder.appName("idea-ingest").getOrCreate()
+    val spark = SparkSession.builder().appName("idea-ingest").getOrCreate()
     try {
       val stores = RefStoreSet.create(spark)
       val r = IngestionFramework.run(spark, TweetData.localTweets(n), batch, NoEnrichment, mode, stores)

@@ -17,7 +17,7 @@ object StreamingEnrichJob {
     val batch = args.lift(1).map(_.toInt).getOrElse(1680)
     val n = args.lift(2).map(_.toInt).getOrElse(10080)
 
-    val spark = SparkSession.builder.appName(s"idea-stream-$name").getOrCreate()
+    val spark = SparkSession.builder().appName(s"idea-stream-$name").getOrCreate()
     try {
       val stores = RefStoreSet.create(spark)
       val t0 = System.nanoTime()

@@ -18,7 +18,7 @@ object UpdateRateJob {
     val batch = args.lift(2).map(_.toInt).getOrElse(1680)
     val n = args.lift(3).map(_.toInt).getOrElse(5040)
 
-    val spark = SparkSession.builder.appName(s"idea-updates-$name").getOrCreate()
+    val spark = SparkSession.builder().appName(s"idea-updates-$name").getOrCreate()
     try {
       val stores = RefStoreSet.create(spark)
       @volatile var stop = false

@@ -6,7 +6,7 @@ import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 
 import repro.data.Tweet
-import repro.feed.{FeedSource, PartitionHolder, PartitionHolderManager, StorageSink}
+import repro.feed.{FeedSource, LocalFrames, PartitionHolder, PartitionHolderManager, StorageSink}
 
 /** Which UDF is attached to the feed, and how it is evaluated. */
 sealed trait EnrichmentSpec
@@ -48,19 +48,20 @@ final case class IngestionReport(
   *  - **intake job** — a [[FeedSource]] thread frames tweets into a passive
   *    [[PartitionHolder]] and closes it with EOF when the feed stops;
   *  - **computing job** — invoked repeatedly (this loop is the Active Feed
-  *    Manager): pull one batch, parse it into a DataFrame, apply the
+  *    Manager): pull one batch, turn it into a [[LocalFrames]] DataFrame
+  *    (its plan holds a table, not the batch's rows), apply the
   *    predeployed job built by [[PredeployedJob.predeployed]], and push the
   *    enriched frame on;
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
   *
-  * The computing job is built once, before the feed starts; each
-  * invocation rebinds only the batch (and, in Dynamic mode, the current
-  * reference snapshot). Each [[repro.refstore.ReferenceStore]]
-  * materializes its merged view once per version, so in Dynamic mode every
-  * batch that starts between two upserts broadcasts the same local
-  * relation, and only the first batch after an upsert pays for building a
-  * new one.
+  * The computing job and the batch serializer are built once, before the
+  * feed starts; each invocation rebinds only the batch (and, in Dynamic
+  * mode, the current reference snapshot). Each
+  * [[repro.refstore.ReferenceStore]] materializes its merged view once per
+  * version, so in Dynamic mode every batch that starts between two upserts
+  * broadcasts the same local frame, and only the first batch after an
+  * upsert pays for building a new one.
   *
   * The computing models of §4.3 are parameter choices of [[run]]:
   * Model 1 (per record) is `batchSize = 1` in Dynamic mode, Model 2 (per
@@ -105,6 +106,7 @@ object IngestionFramework {
       // Built before the clock starts: Static state is frozen at feed start,
       // outside any computing job's time.
       val job = PredeployedJob.predeployed(spec, mode, stores)
+      val toDf = LocalFrames.of[Tweet](spark)
 
       val batchDurations = ArrayBuffer.empty[Long]
       val t0 = System.nanoTime()
@@ -120,7 +122,7 @@ object IngestionFramework {
       while (next.isDefined) {
         val batch = next.get
         val b0 = System.nanoTime()
-        val enriched = job(spark.createDataFrame(batch))
+        val enriched = job(toDf(batch))
         val rows = enriched.collect().toSeq
         storageHolder.push((rows, enriched.schema))
         batchDurations += (System.nanoTime() - b0) / 1000000L

@@ -1,0 +1,97 @@
+package repro.feed
+
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicLong
+
+import scala.reflect.runtime.universe.TypeTag
+
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
+import org.apache.spark.sql.connector.expressions.Transform
+import org.apache.spark.sql.connector.read.{LocalScan, Scan, ScanBuilder}
+import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.util.CaseInsensitiveStringMap
+
+/** Driver-side rows as DataFrames whose logical plan holds a table, not the
+  * rows.
+  *
+  * `spark.createDataFrame` inlines every row into a `LocalRelation`, and
+  * each analyzer and optimizer rule that maps over a plan's expressions
+  * walks those rows, so planning a frame costs time in proportion to its
+  * size. A frame built here is a DSv2 table whose scan is a `LocalScan`:
+  * the logical plan references the table, and Spark's `DataSourceV2Strategy`
+  * plans the scan into the same `LocalTableScanExec` a `LocalRelation`
+  * becomes, so physical plans, `broadcast()` hints and join strategies do
+  * not change. Schemas, nullability included, equal `spark.createDataFrame`'s
+  * for the same input.
+  *
+  * The table reaches Spark through the public reader API: it waits in
+  * `frames` under a fresh id only while `load()` resolves it, and is removed
+  * as soon as `load()` returns.
+  */
+object LocalFrames {
+
+  private val FrameOption = "frame"
+  private val frames = new ConcurrentHashMap[String, FrameTable]()
+  private val nextId = new AtomicLong()
+
+  /** A converter from values of `T` to frames. The serializer is built
+    * here, once; the converter is not thread-safe.
+    */
+  def of[T <: Product : TypeTag](spark: SparkSession): IterableOnce[T] => DataFrame = {
+    val encoder = ExpressionEncoder[T]()
+    converter(spark, encoder.createSerializer(), encoder.schema)
+  }
+
+  /** A converter from external rows, which must match `schema`, to frames.
+    * The serializer is built here, once; the converter is not thread-safe.
+    */
+  def ofRows(spark: SparkSession, schema: StructType): IterableOnce[Row] => DataFrame =
+    converter(spark, ExpressionEncoder(schema).createSerializer(), schema)
+
+  private def converter[T](
+      spark: SparkSession,
+      toRow: ExpressionEncoder.Serializer[T],
+      schema: StructType): IterableOnce[T] => DataFrame = values => {
+    val id = nextId.incrementAndGet().toString
+    frames.put(id, new FrameTable(schema, values.iterator.map(v => toRow(v).copy()).toArray))
+    try spark.read.format(classOf[Provider].getName).option(FrameOption, id).load()
+    finally frames.remove(id)
+  }
+
+  /** Frames handed to Spark whose `load()` has not returned. */
+  private[feed] def pending: Int = frames.size
+
+  private def table(options: java.util.Map[String, String]): FrameTable =
+    Option(options.get(FrameOption)).flatMap(id => Option(frames.get(id))).getOrElse(
+      throw new IllegalStateException(s"no local frame under option '$FrameOption'"))
+
+  /** Found by class name by `spark.read.format`; needs a no-argument
+    * constructor.
+    */
+  final class Provider extends TableProvider {
+    override def inferSchema(options: CaseInsensitiveStringMap): StructType = table(options).schema
+
+    override def getTable(
+        schema: StructType,
+        partitioning: Array[Transform],
+        properties: java.util.Map[String, String]): Table = table(properties)
+  }
+
+  /** The table, its scan builder and its scan in one: the frame is fixed,
+    * so there is nothing to push down or to build.
+    */
+  private final class FrameTable(frameSchema: StructType, data: Array[InternalRow])
+      extends Table with SupportsRead with ScanBuilder with LocalScan {
+    override def name: String = "local_frame"
+    override def schema: StructType = frameSchema
+    override def readSchema: StructType = frameSchema
+    override def capabilities: java.util.Set[TableCapability] =
+      java.util.EnumSet.of(TableCapability.BATCH_READ)
+    override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder = this
+    override def build(): Scan = this
+    override def rows(): Array[InternalRow] = data
+  }
+}

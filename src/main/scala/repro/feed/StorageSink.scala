@@ -1,7 +1,6 @@
 package repro.feed
 
 import scala.collection.mutable.ArrayBuffer
-import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
@@ -45,6 +44,6 @@ final class StorageSink {
     */
   def toDf(spark: SparkSession): DataFrame = synchronized {
     require(schema != null, "storage sink is empty — nothing was ingested")
-    spark.createDataFrame(partitions.flatten.toList.asJava, schema)
+    LocalFrames.ofRows(spark, schema)(partitions.iterator.flatten)
   }
 }

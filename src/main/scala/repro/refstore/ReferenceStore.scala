@@ -1,9 +1,10 @@
 package repro.refstore
 
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+
+import repro.feed.LocalFrames
 
 /** A versioned, upsertable reference dataset — the analog of an AsterixDB
   * dataset backed by an LSM tree.
@@ -18,9 +19,10 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
   * Once a store has a delta, `snapshot()` merges base and delta with
   * last-writer-wins semantics on the primary key on the driver: base rows
   * whose key the delta replaces are dropped and the delta rows appended.
-  * The merged rows become one local relation, built once per version and
-  * shared by every reader of that version, so its plan has the same size
-  * however large the delta grows. The base rows are collected on the first
+  * The merged rows become one [[repro.feed.LocalFrames]] frame, built once
+  * per version and shared by every reader of that version; its plan is one
+  * table scan that holds no rows, so planning costs the same however large
+  * the delta grows. The base rows are collected on the first
   * snapshot after the first upsert and kept for the store's lifetime; a
   * store that is never upserted never collects them.
   *
@@ -40,6 +42,7 @@ final class ReferenceStore(
   private val pkIdx = base.schema.fieldIndex(primaryKey)
   private val delta = mutable.LinkedHashMap.empty[String, Row]
   private lazy val baseRows: Array[Row] = base.collect()
+  private lazy val toFrame = LocalFrames.ofRows(spark, base.schema)
   private var ver: Long = 0L
   private var cachedVer: Long = -1L
   private var cachedSnap: DataFrame = base
@@ -70,7 +73,7 @@ final class ReferenceStore(
     upsert(ps.map(p => Row.fromSeq(p.productIterator.toSeq)))
 
   /** Current merged view, cached per version so every batch and UDF that
-    * reads one version shares one local relation.
+    * reads one version shares one local frame.
     */
   def snapshot(): DataFrame = synchronized {
     if (ver == cachedVer) return cachedSnap
@@ -78,7 +81,7 @@ final class ReferenceStore(
       if (delta.isEmpty) base
       else {
         val merged = baseRows.iterator.filterNot(r => delta.contains(key(r))) ++ delta.valuesIterator
-        spark.createDataFrame(merged.toVector.asJava, base.schema)
+        toFrame(merged)
       }
     cachedVer = ver
     cachedSnap = snap

@@ -20,6 +20,10 @@ class IngestionFrameworkSpec extends SparkSpec {
     assert(r.sink.count == 200)
     val ids = r.sink.toDf(spark).select("id").collect().map(_.getLong(0)).toSet
     assert(ids == tweets.map(_.id).toSet)
+    val expected = spark.createDataFrame(tweets)
+    val stored = r.sink.toDf(spark)
+    assert(stored.schema == expected.schema)
+    assert(stored.collect().sortBy(_.getLong(0)).toSeq == expected.collect().sortBy(_.getLong(0)).toSeq)
   }
 
   test("a trailing partial batch is ingested (EOF drains)") {

@@ -1,0 +1,66 @@
+package repro.feed
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.LocalTableScanExec
+
+import repro.{SparkSpec, TestRefs}
+import repro.core.{Dynamic, IngestionFramework, NoEnrichment}
+import repro.data.{AttackEvent, Tweet, TweetData}
+import repro.refstore.ReferenceStore
+
+/** Frames built by [[LocalFrames]] keep their rows out of the logical plan,
+  * plan to one local table scan, and hold exactly what
+  * `spark.createDataFrame` of the same input holds.
+  */
+class LocalFramesSpec extends SparkSpec {
+
+  private def assertOneLocalScan(df: DataFrame): Unit = {
+    val logical = df.queryExecution.optimizedPlan
+    assert(logical.collect { case r: LocalRelation => r }.isEmpty, logical.treeString)
+    val physical = df.queryExecution.executedPlan
+    assert(physical.isInstanceOf[LocalTableScanExec], physical.treeString)
+  }
+
+  /** Same names, types and nullability, and the same rows (any order). */
+  private def assertSameAs(df: DataFrame, expected: DataFrame): Unit = {
+    assert(df.schema == expected.schema)
+    def rows(d: DataFrame) = d.collect().toSeq.sortBy(_.toString)
+    assert(rows(df) == rows(expected))
+  }
+
+  test("a 2000-tweet batch frame is one local scan equal to createDataFrame's") {
+    val tweets = TweetData.localTweets(2000)
+    val df = LocalFrames.of[Tweet](spark).apply(tweets)
+    assertOneLocalScan(df)
+    assertSameAs(df, spark.createDataFrame(tweets))
+    assert(df.collect().map(_.getTimestamp(5)).toSeq == tweets.map(_.created_at))
+  }
+
+  test("a snapshot of a store with a delta is one local scan equal to createDataFrame's") {
+    val base = TweetData.attackEvents(spark, 40)
+    val store = ReferenceStore(spark, "AttackEvents", base, "attack_record_id")
+    val baseRows = base.collect().toSeq
+    val replaced = baseRows.head
+    val upserts = Seq(
+      AttackEvent(replaced.getString(0), new java.sql.Timestamp(0L), 1.0, 2.0, "R1"),
+      AttackEvent("NEW-1", new java.sql.Timestamp(1234567890123L), 3.0, 4.0, "R2"))
+    store.upsertProducts(upserts)
+    val snap = store.snapshot()
+    assertOneLocalScan(snap)
+    val merged = baseRows.tail ++ upserts.map(p => Row.fromSeq(p.productIterator.toSeq))
+    assertSameAs(snap, spark.createDataFrame(merged.asJava, base.schema))
+  }
+
+  test("StorageSink.toDf is one local scan, and run leaves no frame pending") {
+    val tweets = TweetData.localTweets(2000)
+    val r = IngestionFramework.run(spark, tweets, 500, NoEnrichment, Dynamic, TestRefs.small(spark))
+    assert(LocalFrames.pending == 0)
+    val stored = r.sink.toDf(spark)
+    assert(LocalFrames.pending == 0)
+    assertOneLocalScan(stored)
+    assertSameAs(stored, spark.createDataFrame(tweets))
+  }
+}

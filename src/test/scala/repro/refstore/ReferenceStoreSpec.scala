@@ -2,7 +2,9 @@ package repro.refstore
 
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.catalyst.expressions.{In, InSet}
-import org.apache.spark.sql.catalyst.plans.logical.{LocalRelation, LogicalPlan}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.execution.{FilterExec, LocalTableScanExec, SparkPlan, UnionExec}
+import org.apache.spark.sql.execution.exchange.Exchange
 
 import repro.SparkSpec
 import repro.data.{SafetyRating, TweetData}
@@ -106,20 +108,24 @@ class ReferenceStoreSpec extends SparkSpec {
   }
 
   test("the snapshot plan is one local relation whatever the delta size") {
-    def plansAfter(freshKeys: Int): LogicalPlan = {
+    def plansAfter(freshKeys: Int): (LogicalPlan, SparkPlan) = {
       val s = freshStore(20)
       s.upsertProducts((0 until freshKeys).map(i => SafetyRating(f"P$i%05d", "A")))
-      val plan = s.snapshot().queryExecution.optimizedPlan
+      val qe = s.snapshot().queryExecution
       assert(s.snapshot().count() == 20 + freshKeys)
-      plan
+      (qe.optimizedPlan, qe.executedPlan)
     }
     val small = plansAfter(10)
     val large = plansAfter(1000)
-    for (plan <- Seq(small, large)) {
-      assert(plan.isInstanceOf[LocalRelation], plan.treeString)
-      assert(plan.flatMap(_.expressions.flatMap(_.collect { case e @ (_: In | _: InSet) => e })).isEmpty)
+    for ((logical, physical) <- Seq(small, large)) {
+      assert(logical.children.isEmpty, logical.treeString)
+      assert(logical.flatMap(_.expressions.flatMap(_.collect { case e @ (_: In | _: InSet) => e })).isEmpty)
+      val leaves = physical.collectLeaves()
+      assert(leaves.size == 1 && leaves.head.isInstanceOf[LocalTableScanExec], physical.treeString)
+      assert(physical.collect { case p @ (_: FilterExec | _: UnionExec | _: Exchange) => p }.isEmpty,
+        physical.treeString)
     }
-    assert(small.output.map(a => (a.name, a.dataType)) == large.output.map(a => (a.name, a.dataType)))
+    assert(small._1.output.map(a => (a.name, a.dataType)) == large._1.output.map(a => (a.name, a.dataType)))
   }
 
   test("bulk upsert of 500 rows merges correctly") {
