@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{col, udf}
 
 import repro.spatial.Spatial
@@ -26,9 +26,6 @@ import repro.text.Text
   */
 object JavaUdfs {
 
-  /** A compiled per-record enrichment: apply to a batch DataFrame. */
-  final case class CompiledJavaUdf(name: String, apply: DataFrame => DataFrame)
-
   /** Use cases with a Java implementation (the paper benchmarks Java for
     * use cases 1–5 plus the UDF-2 safety check).
     */
@@ -37,46 +34,56 @@ object JavaUdfs {
     "religious_population", "largest_religions", "fuzzy_suspects",
     "nearby_monuments")
 
-  def compile(name: String, refs: Refs): CompiledJavaUdf = name match {
+  /** The named columns of every row of `df`, picked on the driver. A
+    * reference snapshot is a local scan, which serves a whole-frame
+    * `collect()` without a Spark job; collecting a projection of it would
+    * run one.
+    */
+  private def columns(df: DataFrame, names: String*): Array[Row] = {
+    val idx = names.map(df.schema.fieldIndex)
+    df.collect().map(r => Row.fromSeq(idx.map(r.get)))
+  }
+
+  def compile(name: String, refs: Refs): DataFrame => DataFrame = name match {
     case "tweet_safety_check" =>
       // Figure 7: country -> keyword list.
-      val kw = refs.sensitiveWords.select("country", "word").collect()
+      val kw = columns(refs.sensitiveWords, "country", "word")
         .groupBy(_.getString(0)).view.mapValues(_.map(_.getString(1)).toVector).toMap
       val f = udf((country: String, text: String) =>
         if (kw.getOrElse(country, Vector.empty).exists(text.contains)) "Red" else "Green")
-      CompiledJavaUdf(name, df => df.withColumn("safety_check_flag", f(col("country"), col("text"))))
+      df => df.withColumn("safety_check_flag", f(col("country"), col("text")))
 
     case "high_risk_check" =>
-      val top10 = refs.sensitiveWords.select("country").collect()
+      val top10 = columns(refs.sensitiveWords, "country")
         .groupBy(_.getString(0)).view.mapValues(_.size).toSeq
         .sortBy { case (c, n) => (-n, c) }.take(10).map(_._1).toSet
       val f = udf((country: String) => if (top10.contains(country)) "Red" else "Green")
-      CompiledJavaUdf(name, df => df.withColumn("high_risk_flag", f(col("country"))))
+      df => df.withColumn("high_risk_flag", f(col("country")))
 
     case "safety_rating" =>
-      val m = refs.safetyRatings.select("country_code", "safety_rating").collect()
+      val m = columns(refs.safetyRatings, "country_code", "safety_rating")
         .map(r => r.getString(0) -> r.getString(1)).toMap
       val f = udf((country: String) => m.get(country))
-      CompiledJavaUdf(name, df => df.withColumn("safety_rating", f(col("country"))))
+      df => df.withColumn("safety_rating", f(col("country")))
 
     case "religious_population" =>
-      val m = refs.religiousPopulations.select("country_name", "population").collect()
+      val m = columns(refs.religiousPopulations, "country_name", "population")
         .groupBy(_.getString(0)).view.mapValues(_.map(_.getLong(1)).sum).toMap
       val f = udf((country: String) => m.get(country))
-      CompiledJavaUdf(name, df => df.withColumn("religious_population", f(col("country"))))
+      df => df.withColumn("religious_population", f(col("country")))
 
     case "largest_religions" =>
-      val m = refs.religiousPopulations.select("country_name", "religion_name", "population").collect()
+      val m = columns(refs.religiousPopulations, "country_name", "religion_name", "population")
         .groupBy(_.getString(0)).view.mapValues { rows =>
           rows.map(r => (r.getString(1), r.getLong(2)))
             .sortBy { case (rel, pop) => (-pop, rel) }
             .take(3).map(_._1).mkString(",")
         }.toMap
       val f = udf((country: String) => m.getOrElse(country, ""))
-      CompiledJavaUdf(name, df => df.withColumn("largest_religions", f(col("country"))))
+      df => df.withColumn("largest_religions", f(col("country")))
 
     case "fuzzy_suspects" =>
-      val suspects = refs.suspects.select("sensitive_name", "religion_name").collect()
+      val suspects = columns(refs.suspects, "sensitive_name", "religion_name")
         .map(r => (r.getString(0), r.getString(1)))
       val f = udf { (screenName: String) =>
         val clean = Text.removeSpecial(screenName)
@@ -85,18 +92,18 @@ object JavaUdfs {
           .map { case (n, r) => s"$n:$r" }
           .toVector.sorted.mkString(",")
       }
-      CompiledJavaUdf(name, df => df.withColumn("related_suspects", f(col("screen_name"))))
+      df => df.withColumn("related_suspects", f(col("screen_name")))
 
     case "nearby_monuments" =>
       // No index in the Java path: full scan of the monument array per record.
-      val monuments = refs.monuments.select("monument_id", "monument_x", "monument_y").collect()
+      val monuments = columns(refs.monuments, "monument_id", "monument_x", "monument_y")
         .map(r => (r.getString(0), r.getDouble(1), r.getDouble(2)))
       val f = udf { (lat: Double, lon: Double) =>
         monuments.iterator
           .filter { case (_, x, y) => Spatial.circleContains(lat, lon, 1.5, x, y) }
           .map(_._1).toVector.sorted.mkString(",")
       }
-      CompiledJavaUdf(name, df => df.withColumn("nearby_monuments", f(col("latitude"), col("longitude"))))
+      df => df.withColumn("nearby_monuments", f(col("latitude"), col("longitude")))
 
     case other =>
       throw new IllegalArgumentException(

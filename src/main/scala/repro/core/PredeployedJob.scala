@@ -35,9 +35,9 @@ object PredeployedJob {
         val f = Enrichments.byName(name)
         f(_, stores.snapshot)
       case (JavaEnrichment(name), Static) =>
-        JavaUdfs.compile(name, stores.staticRefs).apply
+        JavaUdfs.compile(name, stores.staticRefs)
       case (JavaEnrichment(name), Dynamic) =>
-        batch => JavaUdfs.compile(name, stores.snapshot).apply(batch)
+        batch => JavaUdfs.compile(name, stores.snapshot)(batch)
     }
 
   /** SQL texts for the ad-hoc path (the subset of enrichments the

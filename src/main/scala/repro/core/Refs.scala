@@ -78,17 +78,17 @@ object RefStoreSet {
              seed: Long = 0): RefStoreSet = {
     def s(n: Int): Int = math.max(1, (n * scale).toInt)
     new RefStoreSet(
-      ReferenceStore(spark, "SensitiveWords", TweetData.sensitiveWords(spark, s(nSensitiveWords), seed + 11), "swid"),
-      ReferenceStore(spark, "SafetyRatings", TweetData.safetyRatings(spark, s(nSafetyRatings), seed + 13), "country_code"),
-      ReferenceStore(spark, "ReligiousPopulations", TweetData.religiousPopulations(spark, s(nReligiousPopulations), seed + 17), "rid"),
-      ReferenceStore(spark, "SuspectsNames", TweetData.suspects(spark, s(nSuspects), seed + 19), "suspect_id"),
-      ReferenceStore(spark, "MonumentList", TweetData.monuments(spark, s(nMonuments), seed + 23), "monument_id"),
-      ReferenceStore(spark, "ReligiousBuildings", TweetData.religiousBuildings(spark, s(nReligiousBuildings), seed + 29), "religious_building_id"),
-      ReferenceStore(spark, "Facilities", TweetData.facilities(spark, s(nFacilities), seed + 31), "facility_id"),
-      ReferenceStore(spark, "SensitiveNames", TweetData.suspects(spark, s(nSensitiveNames), seed + 37), "suspect_id"),
-      ReferenceStore(spark, "DistrictAreas", TweetData.districts(spark, s(nDistricts)), "district_area_id"),
-      ReferenceStore(spark, "AverageIncomes", TweetData.averageIncomes(spark, s(nDistricts), seed + 41), "district_area_id"),
-      ReferenceStore(spark, "Residents", TweetData.residents(spark, s(nResidents), seed + 43), "person_id"),
-      ReferenceStore(spark, "AttackEvents", TweetData.attackEvents(spark, s(nAttackEvents), seed + 47), "attack_record_id"))
+      ReferenceStore(spark, "SensitiveWords", TweetData.localSensitiveWords(s(nSensitiveWords), seed + 11), "swid"),
+      ReferenceStore(spark, "SafetyRatings", TweetData.localSafetyRatings(s(nSafetyRatings), seed + 13), "country_code"),
+      ReferenceStore(spark, "ReligiousPopulations", TweetData.localReligiousPopulations(s(nReligiousPopulations), seed + 17), "rid"),
+      ReferenceStore(spark, "SuspectsNames", TweetData.localSuspects(s(nSuspects), seed + 19), "suspect_id"),
+      ReferenceStore(spark, "MonumentList", TweetData.localMonuments(s(nMonuments), seed + 23), "monument_id"),
+      ReferenceStore(spark, "ReligiousBuildings", TweetData.localReligiousBuildings(s(nReligiousBuildings), seed + 29), "religious_building_id"),
+      ReferenceStore(spark, "Facilities", TweetData.localFacilities(s(nFacilities), seed + 31), "facility_id"),
+      ReferenceStore(spark, "SensitiveNames", TweetData.localSuspects(s(nSensitiveNames), seed + 37), "suspect_id"),
+      ReferenceStore(spark, "DistrictAreas", TweetData.localDistricts(s(nDistricts)), "district_area_id"),
+      ReferenceStore(spark, "AverageIncomes", TweetData.localAverageIncomes(s(nDistricts), seed + 41), "district_area_id"),
+      ReferenceStore(spark, "Residents", TweetData.localResidents(s(nResidents), seed + 43), "person_id"),
+      ReferenceStore(spark, "AttackEvents", TweetData.localAttackEvents(s(nAttackEvents), seed + 47), "attack_record_id"))
   }
 }

@@ -166,11 +166,6 @@ object TweetData {
     }
   }
 
-  def sensitiveWords(spark: SparkSession, n: Int, seed: Long = 11): DataFrame = {
-    import spark.implicits._
-    localSensitiveWords(n, seed).toDF()
-  }
-
   def localSafetyRatings(n: Int, seed: Long = 13): IndexedSeq[SafetyRating] = {
     val rng = new Random(seed)
     // Primary key is country_code; generate n distinct codes (cycling past
@@ -179,11 +174,6 @@ object TweetData {
       val code = if (i < NCountries) countries(i) else f"X$i%06d"
       SafetyRating(code, Seq("A", "B", "C", "D", "E")(rng.nextInt(5)))
     }
-  }
-
-  def safetyRatings(spark: SparkSession, n: Int, seed: Long = 13): DataFrame = {
-    import spark.implicits._
-    localSafetyRatings(n, seed).toDF()
   }
 
   def localReligiousPopulations(n: Int, seed: Long = 17): IndexedSeq[ReligiousPopulation] = {
@@ -195,11 +185,6 @@ object TweetData {
         religion_name = religions(rng.nextInt(religions.size)),
         population = 1000L + rng.nextInt(1_000_000))
     }
-  }
-
-  def religiousPopulations(spark: SparkSession, n: Int, seed: Long = 17): DataFrame = {
-    import spark.implicits._
-    localReligiousPopulations(n, seed).toDF()
   }
 
   def localSuspects(n: Int, seed: Long = 19): IndexedSeq[SuspectName] = {
@@ -223,21 +208,11 @@ object TweetData {
     }
   }
 
-  def suspects(spark: SparkSession, n: Int, seed: Long = 19): DataFrame = {
-    import spark.implicits._
-    localSuspects(n, seed).toDF()
-  }
-
   def localMonuments(n: Int, seed: Long = 23): IndexedSeq[Monument] = {
     val rng = new Random(seed)
     (0 until n).map { i =>
       Monument(f"m$i%06d", rng.nextDouble() * WorldSize, rng.nextDouble() * WorldSize)
     }
-  }
-
-  def monuments(spark: SparkSession, n: Int, seed: Long = 23): DataFrame = {
-    import spark.implicits._
-    localMonuments(n, seed).toDF()
   }
 
   def localReligiousBuildings(n: Int, seed: Long = 29): IndexedSeq[ReligiousBuilding] = {
@@ -252,11 +227,6 @@ object TweetData {
     }
   }
 
-  def religiousBuildings(spark: SparkSession, n: Int, seed: Long = 29): DataFrame = {
-    import spark.implicits._
-    localReligiousBuildings(n, seed).toDF()
-  }
-
   def localFacilities(n: Int, seed: Long = 31): IndexedSeq[Facility] = {
     val rng = new Random(seed)
     (0 until n).map { i =>
@@ -266,11 +236,6 @@ object TweetData {
         facility_y = rng.nextDouble() * WorldSize,
         facility_type = facilityTypes(rng.nextInt(facilityTypes.size)))
     }
-  }
-
-  def facilities(spark: SparkSession, n: Int, seed: Long = 31): DataFrame = {
-    import spark.implicits._
-    localFacilities(n, seed).toDF()
   }
 
   /** Districts tile the world exactly: the y-axis is cut into
@@ -299,19 +264,9 @@ object TweetData {
     }).flatten.toIndexedSeq
   }
 
-  def districts(spark: SparkSession, n: Int): DataFrame = {
-    import spark.implicits._
-    localDistricts(n).toDF()
-  }
-
   def localAverageIncomes(nDistricts: Int, seed: Long = 37): IndexedSeq[AverageIncome] = {
     val rng = new Random(seed)
     localDistricts(nDistricts).map(d => AverageIncome(d.district_area_id, 20000.0 + rng.nextInt(80000)))
-  }
-
-  def averageIncomes(spark: SparkSession, nDistricts: Int, seed: Long = 37): DataFrame = {
-    import spark.implicits._
-    localAverageIncomes(nDistricts, seed).toDF()
   }
 
   def localResidents(n: Int, seed: Long = 41): IndexedSeq[Resident] = {
@@ -325,11 +280,6 @@ object TweetData {
     }
   }
 
-  def residents(spark: SparkSession, n: Int, seed: Long = 41): DataFrame = {
-    import spark.implicits._
-    localResidents(n, seed).toDF()
-  }
-
   def localAttackEvents(n: Int, seed: Long = 43): IndexedSeq[AttackEvent] = {
     val rng = new Random(seed)
     (0 until n).map { i =>
@@ -340,10 +290,5 @@ object TweetData {
         attack_y = rng.nextDouble() * WorldSize,
         related_religion = religions(rng.nextInt(religions.size)))
     }
-  }
-
-  def attackEvents(spark: SparkSession, n: Int, seed: Long = 43): DataFrame = {
-    import spark.implicits._
-    localAttackEvents(n, seed).toDF()
   }
 }

@@ -54,9 +54,15 @@ object LocalFrames {
   private def converter[T](
       spark: SparkSession,
       toRow: ExpressionEncoder.Serializer[T],
-      schema: StructType): IterableOnce[T] => DataFrame = values => {
+      schema: StructType): IterableOnce[T] => DataFrame =
+    values => ofInternalRows(spark, schema, values.iterator.map(v => toRow(v).copy()).toArray)
+
+  /** A frame over rows already encoded with `schema`. The frame reads
+    * `rows` itself, not a copy, so the caller must not change them.
+    */
+  def ofInternalRows(spark: SparkSession, schema: StructType, rows: Array[InternalRow]): DataFrame = {
     val id = nextId.incrementAndGet().toString
-    frames.put(id, new FrameTable(schema, values.iterator.map(v => toRow(v).copy()).toArray))
+    frames.put(id, new FrameTable(schema, rows))
     try spark.read.format(classOf[Provider].getName).option(FrameOption, id).load()
     finally frames.remove(id)
   }

@@ -1,6 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
+import repro.core.RefStoreSet
 
 /** Generator invariants: determinism, schemas, cardinalities, value
   * domains, and the district tiling property the Tweet Context use case
@@ -134,9 +135,12 @@ class TweetDataSpec extends SparkSpec {
   }
 
   test("reference DataFrames materialize with requested cardinalities") {
-    assert(TweetData.sensitiveWords(spark, 40).count() == 40)
-    assert(TweetData.monuments(spark, 60).count() == 60)
-    assert(TweetData.districts(spark, 50).count() == 50)
-    assert(TweetData.attackEvents(spark, 30).count() == 30)
+    val stores = RefStoreSet.create(spark, nSensitiveWords = 40, nSafetyRatings = 10,
+      nReligiousPopulations = 10, nSuspects = 10, nMonuments = 60, nReligiousBuildings = 10,
+      nFacilities = 10, nSensitiveNames = 10, nDistricts = 50, nResidents = 10, nAttackEvents = 30)
+    assert(stores.sensitiveWords.snapshot().count() == 40)
+    assert(stores.monuments.snapshot().count() == 60)
+    assert(stores.districts.snapshot().count() == 50)
+    assert(stores.attackEvents.snapshot().count() == 30)
   }
 }

@@ -1,8 +1,6 @@
 package repro.feed
 
-import scala.jdk.CollectionConverters._
-
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.execution.LocalTableScanExec
 
@@ -40,18 +38,38 @@ class LocalFramesSpec extends SparkSpec {
   }
 
   test("a snapshot of a store with a delta is one local scan equal to createDataFrame's") {
-    val base = TweetData.attackEvents(spark, 40)
+    val base = TweetData.localAttackEvents(40)
     val store = ReferenceStore(spark, "AttackEvents", base, "attack_record_id")
-    val baseRows = base.collect().toSeq
-    val replaced = baseRows.head
     val upserts = Seq(
-      AttackEvent(replaced.getString(0), new java.sql.Timestamp(0L), 1.0, 2.0, "R1"),
+      AttackEvent(base.head.attack_record_id, new java.sql.Timestamp(0L), 1.0, 2.0, "R1"),
       AttackEvent("NEW-1", new java.sql.Timestamp(1234567890123L), 3.0, 4.0, "R2"))
     store.upsertProducts(upserts)
     val snap = store.snapshot()
     assertOneLocalScan(snap)
-    val merged = baseRows.tail ++ upserts.map(p => Row.fromSeq(p.productIterator.toSeq))
-    assertSameAs(snap, spark.createDataFrame(merged.asJava, base.schema))
+    assertSameAs(snap, spark.createDataFrame(base.tail ++ upserts))
+  }
+
+  test("every version-0 snapshot, Static included, is one local scan equal to createDataFrame's") {
+    val stores = TestRefs.small(spark)
+    val expected: Seq[(ReferenceStore, DataFrame)] = Seq(
+      stores.sensitiveWords -> spark.createDataFrame(TweetData.localSensitiveWords(60, 11)),
+      stores.safetyRatings -> spark.createDataFrame(TweetData.localSafetyRatings(300, 13)),
+      stores.religiousPopulations -> spark.createDataFrame(TweetData.localReligiousPopulations(400, 17)),
+      stores.suspects -> spark.createDataFrame(TweetData.localSuspects(40, 19)),
+      stores.monuments -> spark.createDataFrame(TweetData.localMonuments(500, 23)),
+      stores.religiousBuildings -> spark.createDataFrame(TweetData.localReligiousBuildings(120, 29)),
+      stores.facilities -> spark.createDataFrame(TweetData.localFacilities(300, 31)),
+      stores.sensitiveNames -> spark.createDataFrame(TweetData.localSuspects(400, 37)),
+      stores.districts -> spark.createDataFrame(TweetData.localDistricts(50)),
+      stores.averageIncomes -> spark.createDataFrame(TweetData.localAverageIncomes(50, 41)),
+      stores.residents -> spark.createDataFrame(TweetData.localResidents(800, 43)),
+      stores.attackEvents -> spark.createDataFrame(TweetData.localAttackEvents(150, 47)))
+    assert(expected.map(_._1) == stores.all)
+    for ((store, df) <- expected) withClue(store.name) {
+      assert(store.staticSnapshot eq store.snapshot())
+      assertOneLocalScan(store.staticSnapshot)
+      assertSameAs(store.staticSnapshot, df)
+    }
   }
 
   test("StorageSink.toDf is one local scan, and run leaves no frame pending") {

@@ -40,7 +40,7 @@ class ReferenceStorePropertySpec extends SparkSpec {
 
   test("upserts and snapshots match a last-writer-wins Map model") {
     val prop = Prop.forAllNoShrink(ops) { script =>
-      val store = ReferenceStore(spark, "SafetyRatings", TweetData.safetyRatings(spark, baseSize), "country_code")
+      val store = ReferenceStore(spark, "SafetyRatings", baseRatings, "country_code")
       var model = baseRatings.map(r => r.country_code -> r.safety_rating).toMap
       var upserts = 0L
       val taken = Seq.newBuilder[(DataFrame, Map[String, String])]

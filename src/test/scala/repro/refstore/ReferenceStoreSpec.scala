@@ -13,8 +13,7 @@ import repro.data.{SafetyRating, TweetData}
 class ReferenceStoreSpec extends SparkSpec {
 
   private def freshStore(n: Int = 50): ReferenceStore =
-    ReferenceStore(spark, "SafetyRatings",
-      TweetData.safetyRatings(spark, n), "country_code")
+    ReferenceStore(spark, "SafetyRatings", TweetData.localSafetyRatings(n), "country_code")
 
   test("initial snapshot equals the base data") {
     val s = freshStore(40)
@@ -105,6 +104,19 @@ class ReferenceStoreSpec extends SparkSpec {
     assert(s.version == 1)
     assert(s.deltaSize == 1)
     assert(s.snapshot().collect().toSet == before)
+  }
+
+  test("an upsert of a wrongly typed row is rejected and the store keeps working") {
+    val s = freshStore(5)
+    val before = s.snapshot().collect().toSet
+    val e = intercept[IllegalArgumentException] { s.upsert(Seq(Row("X1", 5))) }
+    assert(e.getMessage.contains("SafetyRatings"), e.getMessage)
+    assert(s.version == 0)
+    assert(s.deltaSize == 0)
+    assert(s.snapshot().collect().toSet == before)
+    s.upsert(Seq(Row("X1", "B")))
+    assert(s.version == 1)
+    assert(s.snapshot().collect().toSet == before + Row("X1", "B"))
   }
 
   test("the snapshot plan is one local relation whatever the delta size") {

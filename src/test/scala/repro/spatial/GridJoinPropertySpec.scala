@@ -18,7 +18,7 @@ class GridJoinPropertySpec extends SparkSpec {
   for (radius <- Seq(0.5, 1.0, 2.0, 4.0, 8.0); seed <- Seq(1L, 2L)) {
     test(f"gridJoin == naiveJoin at radius $radius%.1f (seed $seed)") {
       val probe = TweetData.tweets(spark, 120, seed = seed).select("id", "latitude", "longitude")
-      val ref = TweetData.monuments(spark, 150, seed = seed + 100)
+      val ref = spark.createDataFrame(TweetData.localMonuments(150, seed = seed + 100))
       val g = Spatial.gridJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", radius)
       val nv = Spatial.naiveJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", radius)
       assert(pairs(g) == pairs(nv))

@@ -73,7 +73,7 @@ class SpatialSpec extends SparkSpec {
 
   test("gridJoin equals naiveJoin at radius 1.5") {
     val probe = TweetData.tweets(spark, 300).select("id", "latitude", "longitude")
-    val ref = TweetData.monuments(spark, 400)
+    val ref = spark.createDataFrame(TweetData.localMonuments(400))
     val g = Spatial.gridJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 1.5)
     val n = Spatial.naiveJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 1.5)
     assert(joinPairs(g) == joinPairs(n))
@@ -82,7 +82,7 @@ class SpatialSpec extends SparkSpec {
 
   test("gridJoin equals naiveJoin at radius 3.0") {
     val probe = TweetData.tweets(spark, 200).select("id", "latitude", "longitude")
-    val ref = TweetData.monuments(spark, 300)
+    val ref = spark.createDataFrame(TweetData.localMonuments(300))
     val g = Spatial.gridJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 3.0)
     val n = Spatial.naiveJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 3.0)
     assert(joinPairs(g) == joinPairs(n))
@@ -90,7 +90,7 @@ class SpatialSpec extends SparkSpec {
 
   test("gridJoin equals naiveJoin at a radius larger than cells near edges") {
     val probe = TweetData.tweets(spark, 100, seed = 9).select("id", "latitude", "longitude")
-    val ref = TweetData.monuments(spark, 150, seed = 10)
+    val ref = spark.createDataFrame(TweetData.localMonuments(150, seed = 10))
     val g = Spatial.gridJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 12.5)
     val n = Spatial.naiveJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 12.5)
     assert(joinPairs(g) == joinPairs(n))
@@ -98,21 +98,21 @@ class SpatialSpec extends SparkSpec {
 
   test("gridJoin emits no duplicate pairs") {
     val probe = TweetData.tweets(spark, 200).select("id", "latitude", "longitude")
-    val ref = TweetData.monuments(spark, 300)
+    val ref = spark.createDataFrame(TweetData.localMonuments(300))
     val g = Spatial.gridJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 1.5)
     assert(g.count() == joinPairs(g).size)
   }
 
   test("gridJoin drops its internal cell columns") {
     val probe = TweetData.tweets(spark, 10).select("id", "latitude", "longitude")
-    val ref = TweetData.monuments(spark, 10)
+    val ref = spark.createDataFrame(TweetData.localMonuments(10))
     val g = Spatial.gridJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 1.5)
     assert(!g.columns.exists(_.startsWith("__")))
   }
 
   test("gridJoin rejects non-positive radius") {
     val probe = TweetData.tweets(spark, 5).select("id", "latitude", "longitude")
-    val ref = TweetData.monuments(spark, 5)
+    val ref = spark.createDataFrame(TweetData.localMonuments(5))
     intercept[IllegalArgumentException] {
       Spatial.gridJoin(probe, "latitude", "longitude", ref, "monument_x", "monument_y", 0.0)
     }
