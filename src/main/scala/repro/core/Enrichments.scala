@@ -203,8 +203,9 @@ object Enrichments {
   /** Use case 7 (Appendix G) — Tweet Context: district average income,
     * facility counts per district, and ethnicity distribution of district
     * residents. The reference-to-reference spatial joins (facilities ×
-    * districts, residents × districts) are re-evaluated per computing-job
-    * invocation — the dominant cost the paper observes for this UDF.
+    * districts, residents × districts) are the dominant cost the paper
+    * observes for this UDF; a prepared job evaluates them once per version
+    * of the stores they read.
     */
   def tweetContext(tweets: DataFrame, refs: Refs): DataFrame = {
     val dist = broadcast(refs.districts)

@@ -6,7 +6,7 @@ import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 
 import repro.data.Tweet
-import repro.feed.{FeedSource, LocalFrames, PartitionHolder, PartitionHolderManager, StorageSink}
+import repro.feed.{FeedSource, PartitionHolder, PartitionHolderManager, StorageSink}
 
 /** Which UDF is attached to the feed, and how it is evaluated. */
 sealed trait EnrichmentSpec
@@ -48,20 +48,18 @@ final case class IngestionReport(
   *  - **intake job** — a [[FeedSource]] thread frames tweets into a passive
   *    [[PartitionHolder]] and closes it with EOF when the feed stops;
   *  - **computing job** — invoked repeatedly (this loop is the Active Feed
-  *    Manager): pull one batch, turn it into a [[LocalFrames]] DataFrame
-  *    (its plan holds a table, not the batch's rows), apply the
-  *    predeployed job built by [[PredeployedJob.predeployed]], and push the
-  *    enriched frame on;
+  *    Manager): pull one batch, invoke the [[PreparedJob]] built by
+  *    [[PredeployedJob.predeployed]] on it, and push the enriched rows on;
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
   *
-  * The computing job and the batch serializer are built once, before the
-  * feed starts; each invocation rebinds only the batch (and, in Dynamic
-  * mode, the current reference snapshot). Each
-  * [[repro.refstore.ReferenceStore]] materializes its merged view once per
-  * version, so in Dynamic mode every batch that starts between two upserts
-  * broadcasts the same local frame, and only the first batch after an
-  * upsert pays for building a new one.
+  * The storage and intake threads start first, and the computing job is
+  * prepared while the intake frames the first batch. The job's physical
+  * plan is prepared once per feed; each invocation rebinds the batch and,
+  * in Dynamic mode, the reference stores whose version changed since the
+  * previous batch. So every batch that starts between two upserts reuses
+  * the broadcasts of the previous one, and only the first batch after an
+  * upsert rebuilds those over the store it changed.
   *
   * The computing models of §4.3 are parameter choices of [[run]]:
   * Model 1 (per record) is `batchSize = 1` in Dynamic mode, Model 2 (per
@@ -103,16 +101,14 @@ object IngestionFramework {
       }, s"storage-job-$runId")
       storageThread.setDaemon(true)
 
-      // Built before the clock starts: Static state is frozen at feed start,
-      // outside any computing job's time.
-      val job = PredeployedJob.predeployed(spec, mode, stores)
-      val toDf = LocalFrames.of[Tweet](spark)
-
       val batchDurations = ArrayBuffer.empty[Long]
       val t0 = System.nanoTime()
 
       storageThread.start()
       val intakeThread = new FeedSource(tweets, batchSize, ratePerSec).start(intakeHolder)
+
+      // Prepared while the intake frames the first batch.
+      val job = PredeployedJob.predeployed(spark, spec, mode, stores)
 
       // Active Feed Manager loop: one computing job at a time, next one
       // invoked when the previous finishes; EOF ends the feed.
@@ -122,9 +118,7 @@ object IngestionFramework {
       while (next.isDefined) {
         val batch = next.get
         val b0 = System.nanoTime()
-        val enriched = job(toDf(batch))
-        val rows = enriched.collect().toSeq
-        storageHolder.push((rows, enriched.schema))
+        storageHolder.push((job(batch), job.schema))
         batchDurations += (System.nanoTime() - b0) / 1000000L
         records += batch.size
         batches += 1

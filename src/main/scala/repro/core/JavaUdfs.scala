@@ -14,8 +14,9 @@ import repro.text.Text
   * returned closure enriches records one at a time, exactly like
   * `evaluate(IFunctionHelper)`. A **static** pipeline compiles once at feed
   * start (stale state forever, the current-AsterixDB baseline); a
-  * **dynamic** pipeline re-compiles per computing job (reference updates
-  * visible per batch).
+  * **dynamic** pipeline re-compiles whenever a reference store's version
+  * has changed since the previous computing job (reference updates visible
+  * per batch).
   *
   * Per the paper, the Java monument lookup has no R-Tree: it scans the full
   * monument array per record, which is why the indexed SQL++ variant beats

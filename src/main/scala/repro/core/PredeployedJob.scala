@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** The computing job, predeployed (paper §5.1): optimized and compiled
+/** The computing job, predeployed (paper §5.1): planned and prepared
   * *once*, then invoked per batch with only the batch as a new parameter —
   * a prepared-query analog.
   *
@@ -17,27 +17,21 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   */
 object PredeployedJob {
 
-  /** Build the computing job for `spec` under `mode`. The UDF is resolved
-    * here, once; Static mode also freezes its state here, once (the SQL
-    * path binds `stores.staticRefs`, the Java path compiles against them).
-    * Dynamic invocations read `stores.snapshot` — and the Java path
-    * recompiles against it — per batch, so each batch sees exactly the
-    * upserts applied before it started.
+  /** Build the computing job for `spec` under `mode` as a [[PreparedJob]].
+    * Static mode binds every store's version 0 for good. Dynamic
+    * invocations rebind each store the job reads whose version has
+    * changed, so each batch sees exactly the upserts applied before it
+    * started. With no enrichment the plan is the batch scan alone.
     */
-  def predeployed(spec: EnrichmentSpec, mode: RefreshMode, stores: RefStoreSet): DataFrame => DataFrame =
-    (spec, mode) match {
-      case (NoEnrichment, _) => identity
-      case (SqlEnrichment(name), Static) =>
-        val f = Enrichments.byName(name)
-        val refs = stores.staticRefs
-        f(_, refs)
-      case (SqlEnrichment(name), Dynamic) =>
-        val f = Enrichments.byName(name)
-        f(_, stores.snapshot)
-      case (JavaEnrichment(name), Static) =>
-        JavaUdfs.compile(name, stores.staticRefs)
-      case (JavaEnrichment(name), Dynamic) =>
-        batch => JavaUdfs.compile(name, stores.snapshot)(batch)
+  def predeployed(spark: SparkSession, spec: EnrichmentSpec, mode: RefreshMode, stores: RefStoreSet): PreparedJob =
+    spec match {
+      case NoEnrichment =>
+        PreparedJob(spark, stores, mode, (batch, _) => batch, compilesState = false)
+      case SqlEnrichment(name) =>
+        PreparedJob(spark, stores, mode, Enrichments.byName(name), compilesState = false)
+      case JavaEnrichment(name) =>
+        PreparedJob(spark, stores, mode, (batch, refs) => JavaUdfs.compile(name, refs)(batch),
+          compilesState = true)
     }
 
   /** SQL texts for the ad-hoc path (the subset of enrichments the

@@ -43,16 +43,17 @@ final class RefStoreSet(
     val residents: ReferenceStore,
     val attackEvents: ReferenceStore) {
 
-  def all: Seq[ReferenceStore] = Seq(
+  val all: IndexedSeq[ReferenceStore] = IndexedSeq(
     sensitiveWords, safetyRatings, religiousPopulations, suspects, monuments,
     religiousBuildings, facilities, sensitiveNames, districts, averageIncomes,
     residents, attackEvents)
 
   def snapshot: Refs = refs(_.snapshot())
 
-  val staticRefs: Refs = refs(_.staticSnapshot)
+  lazy val staticRefs: Refs = refs(_.staticSnapshot)
 
-  private def refs(f: ReferenceStore => DataFrame): Refs = Refs(
+  /** One frame per store, in the order of [[Refs]]. */
+  private[core] def refs(f: ReferenceStore => DataFrame): Refs = Refs(
     f(sensitiveWords), f(safetyRatings), f(religiousPopulations), f(suspects),
     f(monuments), f(religiousBuildings), f(facilities), f(sensitiveNames),
     f(districts), f(averageIncomes), f(residents), f(attackEvents))

@@ -11,11 +11,12 @@ import repro.feed.StorageSink
   * micro-batched stream instead of the explicit intake / storage holders of
   * [[IngestionFramework]].
   *
-  * The job is built once, before the query starts, and invoked once per
-  * micro-batch; in Dynamic mode each invocation re-reads the reference
-  * snapshot — the standard Spark recipe for enrichment joins against
-  * reference data that changes underneath a stream. The two drivers must
-  * produce identical rows for identical inputs; a test asserts it.
+  * The job is prepared once, before the query starts, and invoked once per
+  * micro-batch; in Dynamic mode each invocation rebinds the reference
+  * stores whose version changed — the standard Spark recipe for enrichment
+  * joins against reference data that changes underneath a stream. The two
+  * drivers must produce identical rows for identical inputs; a test
+  * asserts it.
   */
 object StreamingDriver {
 
@@ -33,13 +34,14 @@ object StreamingDriver {
     val sink = new StorageSink()
     val stream = MemoryStream[Tweet]
 
-    val job = PredeployedJob.predeployed(spec, mode, stores)
+    val job = PredeployedJob.predeployed(spark, spec, mode, stores)
 
+    // The micro-batch is a local relation of tweets: its plan hands over
+    // the encoded rows without a Spark job.
     val query = stream.toDF().writeStream
       .outputMode("append")
       .foreachBatch { (batchDf: Dataset[Row], _: Long) =>
-        val enriched = job(batchDf)
-        sink.append(enriched.collect().toSeq, enriched.schema)
+        sink.append(job.invoke(batchDf.queryExecution.executedPlan.executeCollect()), job.schema)
       }
       .start()
 

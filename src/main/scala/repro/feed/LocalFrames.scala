@@ -3,14 +3,15 @@ package repro.feed
 import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicLong
 
-import scala.reflect.runtime.universe.TypeTag
-
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read.{LocalScan, Scan, ScanBuilder}
+import org.apache.spark.sql.execution.datasources.v2.{DataSourceV2Relation, DataSourceV2ScanRelation}
 import org.apache.spark.sql.types.StructType
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
@@ -29,7 +30,9 @@ import org.apache.spark.sql.util.CaseInsensitiveStringMap
   *
   * The table reaches Spark through the public reader API: it waits in
   * `frames` under a fresh id only while `load()` resolves it, and is removed
-  * as soon as `load()` returns.
+  * as soon as `load()` returns. The table also identifies the frame in the
+  * plans of queries over it ([[tableOf]], [[scans]]), which is how a
+  * prepared computing job finds the scans to rebind.
   */
 object LocalFrames {
 
@@ -37,25 +40,13 @@ object LocalFrames {
   private val frames = new ConcurrentHashMap[String, FrameTable]()
   private val nextId = new AtomicLong()
 
-  /** A converter from values of `T` to frames. The serializer is built
-    * here, once; the converter is not thread-safe.
-    */
-  def of[T <: Product : TypeTag](spark: SparkSession): IterableOnce[T] => DataFrame = {
-    val encoder = ExpressionEncoder[T]()
-    converter(spark, encoder.createSerializer(), encoder.schema)
-  }
-
   /** A converter from external rows, which must match `schema`, to frames.
     * The serializer is built here, once; the converter is not thread-safe.
     */
-  def ofRows(spark: SparkSession, schema: StructType): IterableOnce[Row] => DataFrame =
-    converter(spark, ExpressionEncoder(schema).createSerializer(), schema)
-
-  private def converter[T](
-      spark: SparkSession,
-      toRow: ExpressionEncoder.Serializer[T],
-      schema: StructType): IterableOnce[T] => DataFrame =
-    values => ofInternalRows(spark, schema, values.iterator.map(v => toRow(v).copy()).toArray)
+  def ofRows(spark: SparkSession, schema: StructType): IterableOnce[Row] => DataFrame = {
+    val toRow = ExpressionEncoder(schema).createSerializer()
+    rows => ofInternalRows(spark, schema, rows.iterator.map(r => toRow(r).copy()).toArray)
+  }
 
   /** A frame over rows already encoded with `schema`. The frame reads
     * `rows` itself, not a copy, so the caller must not change them.
@@ -65,6 +56,22 @@ object LocalFrames {
     frames.put(id, new FrameTable(schema, rows))
     try spark.read.format(classOf[Provider].getName).option(FrameOption, id).load()
     finally frames.remove(id)
+  }
+
+  /** The table a frame built here reads, which identifies the frame in
+    * the plans of every query over it.
+    */
+  private[repro] def tableOf(frame: DataFrame): Table =
+    frame.queryExecution.analyzed.collectFirst {
+      case r: DataSourceV2Relation if r.table.isInstanceOf[FrameTable] => r.table
+    }.getOrElse(throw new IllegalArgumentException("not a local frame"))
+
+  /** Each scan of a local frame in an optimized plan, subqueries included:
+    * the frame's table and the attributes the scan outputs.
+    */
+  private[repro] def scans(plan: LogicalPlan): Seq[(Table, Seq[Attribute])] = plan.collectWithSubqueries {
+    case s: DataSourceV2ScanRelation if s.relation.table.isInstanceOf[FrameTable] =>
+      (s.relation.table, s.output)
   }
 
   /** Frames handed to Spark whose `load()` has not returned. */

@@ -14,23 +14,28 @@ import repro.feed.LocalFrames
 /** A versioned, upsertable reference dataset — the analog of an AsterixDB
   * dataset backed by an LSM tree.
   *
-  * The store holds one encoded copy of its rows: the immutable `base` array
-  * plays the role of the on-disk LSM components, and the delta map, keyed
-  * by primary key, plays the role of the LSM memory component that an
-  * `UPSERT` activates. Rows are encoded once, when the store is built or
-  * when an upsert arrives, so a row that does not fit the schema is
-  * rejected by the upsert that carries it.
+  * The store holds encoded rows: the immutable `base` array plays the role
+  * of the on-disk LSM components, and the set of keys upserted so far plays
+  * the role of the LSM memory component that an `UPSERT` activates. Rows
+  * are encoded once, when the store is built or when an upsert arrives, so
+  * a row that does not fit the schema is rejected by the upsert that
+  * carries it.
   *
-  * Every version is one [[repro.feed.LocalFrames]] frame, built once and
-  * shared by every reader of that version; its plan is one table scan that
-  * holds no rows, so planning costs the same however large the store or
-  * its delta grows. Version 0 is a frame over `base` itself; each later
-  * version is the base rows whose key the delta has not replaced, followed
-  * by the delta rows (last writer wins on the primary key).
+  * Version 0 is `base` itself. Each later version is built once, when first
+  * read, by patching a copy of the previous version: a row whose key is
+  * already present replaces it in place, and a row with a new key is
+  * appended (last writer wins on the primary key). The key → position index
+  * this needs is built on the first upsert, so a store that is never
+  * upserted never hashes its keys. Only the rows upserted since the
+  * previous version are applied.
   *
-  * Thread-safe: the ingestion pipeline reads snapshots while an updater
+  * A version's [[repro.feed.LocalFrames]] frame is built only when asked
+  * for ([[snapshot]]); the prepared computing job reads a version's rows
+  * through [[current]] and needs no frame.
+  *
+  * Thread-safe: the ingestion pipeline reads versions while an updater
   * thread upserts (paper §7.3). An upsert applies all of its rows and bumps
-  * the version together, or nothing at all. Each snapshot holds its own
+  * the version together, or nothing at all. Each version holds its own
   * array of rows, so a computing job sees exactly the updates applied
   * before it started — the record-level consistency model the paper
   * assumes.
@@ -38,31 +43,45 @@ import repro.feed.LocalFrames
 final class ReferenceStore private (
     val name: String,
     spark: SparkSession,
-    schema: StructType,
+    val schema: StructType,
     base: Array[InternalRow],
     val primaryKey: String) {
+
+  import ReferenceStore.Version
 
   private val pkIdx = schema.fieldIndex(primaryKey)
   private val pkType = schema(pkIdx).dataType
   private val toRow = ExpressionEncoder(schema).createSerializer()
-  private val delta = mutable.LinkedHashMap.empty[String, InternalRow]
+
+  /** Version 0: the rows the store was built with. */
+  val initial: Version = Version(0L, base)
+
   private var ver: Long = 0L
+  /** The last version built, and the rows upserted since (in order), each
+    * with the position it takes in the next version.
+    */
+  private var built = initial
+  private val pending = mutable.ArrayBuffer.empty[(Int, InternalRow)]
+  /** Key → position in the next version; built on the first upsert. */
+  private var positions: mutable.HashMap[Any, Int] = _
+  private var size = base.length
+  private val upserted = mutable.HashSet.empty[Any]
 
   /** A snapshot frozen at construction time — what a static (Model 3)
     * pipeline holds on to for its whole lifetime. It is also version 0.
     */
-  val staticSnapshot: DataFrame = LocalFrames.ofInternalRows(spark, schema, base)
+  lazy val staticSnapshot: DataFrame = LocalFrames.ofInternalRows(spark, schema, base)
 
-  private var cachedVer: Long = 0L
-  private var cachedSnap: DataFrame = staticSnapshot
+  private var frameVer: Long = 0L
+  private var frame: DataFrame = _
 
-  private def key(r: InternalRow): String = String.valueOf(r.get(pkIdx, pkType))
+  private def key(r: InternalRow): Any = r.get(pkIdx, pkType)
 
   /** Number of upsert calls applied so far (monotonic). */
   def version: Long = synchronized(ver)
 
   /** Number of distinct keys currently in the in-memory delta component. */
-  def deltaSize: Int = synchronized(delta.size)
+  def deltaSize: Int = synchronized(upserted.size)
 
   /** UPSERT: insert rows, replacing any existing row with the same key
     * (paper footnote 1). Rows must match the store's schema; if any row
@@ -81,7 +100,17 @@ final class ReferenceStore private (
           throw new IllegalArgumentException(s"$name: upsert row $r does not match ${schema.simpleString}", e)
       }
     }
-    encoded.foreach(r => delta(key(r)) = r)
+    if (positions == null) {
+      positions = new mutable.HashMap[Any, Int](base.length * 2, mutable.HashMap.defaultLoadFactor)
+      var i = 0
+      while (i < base.length) { positions(key(base(i))) = i; i += 1 }
+    }
+    encoded.foreach { r =>
+      val k = key(r)
+      val pos = positions.getOrElseUpdate(k, { size += 1; size - 1 })
+      pending += (pos -> r)
+      upserted += k
+    }
     ver += 1
   }
 
@@ -89,20 +118,42 @@ final class ReferenceStore private (
   def upsertProducts(ps: Seq[Product]): Unit =
     upsert(ps.map(p => Row.fromSeq(p.productIterator.toSeq)))
 
-  /** Current merged view, cached per version so every batch and UDF that
-    * reads one version shares one local frame.
+  /** The current version: its number and its rows, read together. The
+    * rows are shared by every reader of the version and must not be
+    * changed.
+    */
+  def current: Version = synchronized {
+    if (built.number != ver) {
+      val rows = java.util.Arrays.copyOf(built.rows, size)
+      pending.foreach { case (pos, r) => rows(pos) = r }
+      pending.clear()
+      built = Version(ver, rows)
+    }
+    built
+  }
+
+  /** Current merged view as a frame, built once per version so every reader
+    * of one version shares one local frame.
     */
   def snapshot(): DataFrame = synchronized {
-    if (ver != cachedVer) {
-      val merged = base.iterator.filterNot(r => delta.contains(key(r))) ++ delta.valuesIterator
-      cachedSnap = LocalFrames.ofInternalRows(spark, schema, merged.toArray)
-      cachedVer = ver
+    val v = current
+    if (v.number == 0L) staticSnapshot
+    else {
+      if (frameVer != v.number) {
+        frame = LocalFrames.ofInternalRows(spark, schema, v.rows)
+        frameVer = v.number
+      }
+      frame
     }
-    cachedSnap
   }
 }
 
 object ReferenceStore {
+
+  /** One version of a store: its number (the upserts applied before it)
+    * and its rows, encoded with the store's schema.
+    */
+  final case class Version(number: Long, rows: Array[InternalRow])
 
   /** A store over `rows`, encoded once with `T`'s schema. */
   def apply[T <: Product : TypeTag](spark: SparkSession, name: String, rows: Seq[T], pk: String): ReferenceStore = {

@@ -1,5 +1,9 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +20,36 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark jobs started by `body` on this thread. A marker job started
+    * afterwards is seen by the listener only after every job before it.
+    */
+  def jobsStartedBy(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val key = "SparkSpec.phase"
+    val started = new AtomicInteger()
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(key))) match {
+          case Some("body") => started.incrementAndGet()
+          case Some("marker") => marker.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(key, "body")
+      body
+      sc.setLocalProperty(key, "marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(marker.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
+      started.get
+    } finally {
+      sc.setLocalProperty(key, null)
+      sc.removeSparkListener(listener)
+    }
+  }
 }
 
 object SparkSpec {

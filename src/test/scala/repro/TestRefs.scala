@@ -8,9 +8,9 @@ import repro.core.RefStoreSet
   * keep the paper's relative sizes but stay DuckDB-oracle friendly.
   */
 object TestRefs {
-  def small(spark: SparkSession, seed: Long = 0): RefStoreSet =
+  def small(spark: SparkSession, seed: Long = 0, scale: Double = 1.0): RefStoreSet =
     RefStoreSet.create(spark,
-      scale = 1.0,
+      scale = scale,
       nSensitiveWords = 60,
       nSafetyRatings = 300,
       nReligiousPopulations = 400,

@@ -1,10 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-
 import repro.{SparkSpec, TestRefs}
 import repro.data.TweetData
 
@@ -64,36 +59,6 @@ class JavaUdfsSpec extends SparkSpec {
     val ratings = recompiled.apply(tweets).select("safety_rating")
       .collect().map(_.getString(0)).toSet
     assert(ratings == Set("FRESH"))
-  }
-
-  /** Spark jobs started by `body` on this thread. A marker job started
-    * afterwards is seen by the listener only after every job before it.
-    */
-  private def jobsStartedBy(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    val key = "JavaUdfsSpec.phase"
-    val started = new AtomicInteger()
-    val marker = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).flatMap(p => Option(p.getProperty(key))) match {
-          case Some("body") => started.incrementAndGet()
-          case Some("marker") => marker.countDown()
-          case _ =>
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setLocalProperty(key, "body")
-      body
-      sc.setLocalProperty(key, "marker")
-      sc.parallelize(Seq(1), 1).count()
-      assert(marker.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
-      started.get
-    } finally {
-      sc.setLocalProperty(key, null)
-      sc.removeSparkListener(listener)
-    }
   }
 
   test("compile starts no Spark job, on static refs or on a snapshot after upserts") {

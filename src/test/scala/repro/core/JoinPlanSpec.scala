@@ -41,7 +41,9 @@ class JoinPlanSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     def joins(plan: SparkPlan): Seq[String] =
       collect(plan) { case j: BaseJoinExec => j.getClass.getSimpleName }
     for (name <- Seq("safety_rating", "religious_population")) {
-      val pre = executed(PredeployedJob.predeployed(SqlEnrichment(name), Dynamic, stores)(batch))
+      val job = PredeployedJob.predeployed(spark, SqlEnrichment(name), Dynamic, stores)
+      job(TweetData.localTweets(100))
+      val pre = job.plan
       val ad = executed(PredeployedJob.adhoc(spark, name, stores)(batch))
       assert(joins(ad) == joins(pre), s"$name\n${ad.treeString}\n${pre.treeString}")
       assert(joins(pre) == Seq("BroadcastHashJoinExec"), name)

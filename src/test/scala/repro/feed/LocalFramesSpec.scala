@@ -1,11 +1,12 @@
 package repro.feed
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.execution.LocalTableScanExec
 
 import repro.{SparkSpec, TestRefs}
-import repro.core.{Dynamic, IngestionFramework, NoEnrichment}
+import repro.core.{Dynamic, IngestionFramework, NoEnrichment, PreparedJob}
 import repro.data.{AttackEvent, Tweet, TweetData}
 import repro.refstore.ReferenceStore
 
@@ -31,7 +32,8 @@ class LocalFramesSpec extends SparkSpec {
 
   test("a 2000-tweet batch frame is one local scan equal to createDataFrame's") {
     val tweets = TweetData.localTweets(2000)
-    val df = LocalFrames.of[Tweet](spark).apply(tweets)
+    val toRow = ExpressionEncoder[Tweet]().createSerializer()
+    val df = LocalFrames.ofInternalRows(spark, PreparedJob.BatchSchema, tweets.map(toRow(_).copy()).toArray)
     assertOneLocalScan(df)
     assertSameAs(df, spark.createDataFrame(tweets))
     assert(df.collect().map(_.getTimestamp(5)).toSeq == tweets.map(_.created_at))

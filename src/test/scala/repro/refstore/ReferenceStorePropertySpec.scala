@@ -35,6 +35,16 @@ class ReferenceStorePropertySpec extends SparkSpec {
   private val ops: Gen[List[Op]] = Gen.choose(1, 12).flatMap(n =>
     Gen.listOfN(n, Gen.frequency(3 -> upsert, 1 -> repeatedKey, 2 -> Gen.const(Snapshot))))
 
+  // Long scripts that mostly re-rate keys the store already holds, with a
+  // snapshot after most upserts: each version is patched from the one
+  // before it.
+  private val existingKeyUpsert: Gen[Op] = for {
+    n <- Gen.choose(1, 4)
+    rows <- Gen.listOfN(n, Gen.zip(Gen.oneOf(baseRatings.map(_.country_code)), rating))
+  } yield Upsert(rows)
+  private val patchingOps: Gen[List[Op]] = Gen.choose(10, 40).flatMap(n =>
+    Gen.listOfN(n, Gen.frequency(3 -> existingKeyUpsert, 1 -> upsert, 3 -> Gen.const(Snapshot))))
+
   private def contents(df: DataFrame): Seq[(String, String)] =
     df.collect().map(r => (r.getString(0), r.getString(1))).toSeq
 
@@ -57,6 +67,32 @@ class ReferenceStorePropertySpec extends SparkSpec {
         val rows = contents(snap)
         rows.size == expected.size && rows.toMap == expected
       }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(42L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("many snapshots interleaved with upserts of existing keys match the model") {
+    val prop = Prop.forAllNoShrink(patchingOps) { script =>
+      val store = ReferenceStore(spark, "SafetyRatings", baseRatings, "country_code")
+      var model = baseRatings.map(r => r.country_code -> r.safety_rating).toMap
+      var upsertedKeys = Set.empty[String]
+      val taken = Seq.newBuilder[(DataFrame, Map[String, String])]
+      script.foreach {
+        case Upsert(rows) =>
+          store.upsertProducts(rows.map { case (k, v) => SafetyRating(k, v) })
+          model ++= rows
+          upsertedKeys ++= rows.map(_._1)
+        case Snapshot =>
+          taken += (store.snapshot() -> model)
+      }
+      taken += (store.snapshot() -> model)
+      store.current.number == store.version && store.current.rows.length == model.size &&
+        store.deltaSize == upsertedKeys.size && taken.result().forall { case (snap, expected) =>
+          val rows = contents(snap)
+          rows.size == expected.size && rows.toMap == expected
+        }
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(42L))
     val result = Test.check(params, prop)
