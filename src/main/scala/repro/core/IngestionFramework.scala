@@ -2,7 +2,8 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.apache.spark.sql.{Row, SparkSession}
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.StructType
 
 import repro.data.Tweet
@@ -28,7 +29,7 @@ case object Dynamic extends RefreshMode
 /** Once at feed start — the current-AsterixDB baseline (Model 3); stale. */
 case object Static extends RefreshMode
 
-/** Outcome of one ingestion run. */
+/** Outcome of one ingestion run; `records` counts the rows stored. */
 final case class IngestionReport(
     records: Long,
     batches: Int,
@@ -49,9 +50,14 @@ final case class IngestionReport(
   *    [[PartitionHolder]] and closes it with EOF when the feed stops;
   *  - **computing job** — invoked repeatedly (this loop is the Active Feed
   *    Manager): pull one batch, invoke the [[PreparedJob]] built by
-  *    [[PredeployedJob.predeployed]] on it, and push the enriched rows on;
+  *    [[PredeployedJob.predeployed]] on it, and push the enriched rows on,
+  *    still encoded as the prepared plan produced them;
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
+  *
+  * If the computing job fails, to prepare or on a batch, the feed stops:
+  * the intake thread is interrupted, the storage holder is closed, both
+  * threads are joined, and `run` rethrows the failure.
   *
   * The storage and intake threads start first, and the computing job is
   * prepared while the intake frames the first batch. The job's physical
@@ -71,6 +77,9 @@ object IngestionFramework {
 
   private val nextRunId = new java.util.concurrent.atomic.AtomicLong()
 
+  /** How long a failed feed waits for each of its threads to end. */
+  private val StopTimeoutMs = 10000L
+
   def run(
       spark: SparkSession,
       tweets: Seq[Tweet],
@@ -82,45 +91,43 @@ object IngestionFramework {
       queueCapacity: Int = 64,
       onBatchDone: Int => Unit = _ => ()): IngestionReport = {
 
+    val source = new FeedSource(tweets, batchSize, ratePerSec)
     val runId = nextRunId.incrementAndGet()
     val intakeHolder = PartitionHolderManager.register(
       new PartitionHolder[Seq[Tweet]](s"intake-$runId", queueCapacity))
     val storageHolder = PartitionHolderManager.register(
-      new PartitionHolder[(Seq[Row], StructType)](s"storage-$runId", queueCapacity))
+      new PartitionHolder[(Array[InternalRow], StructType)](s"storage-$runId", queueCapacity))
     val sink = new StorageSink()
 
+    // Storage job: long-running, starts with the feed.
+    val storageThread = new Thread(() => {
+      var next = storageHolder.pull()
+      while (next.isDefined) {
+        val (rows, schema) = next.get
+        sink.append(rows, schema)
+        next = storageHolder.pull()
+      }
+    }, s"storage-job-$runId")
+    storageThread.setDaemon(true)
+
+    val batchDurations = ArrayBuffer.empty[Long]
+    val t0 = System.nanoTime()
+
+    storageThread.start()
+    val intakeThread = source.start(intakeHolder)
+
     try {
-      // Storage job: long-running, starts with the feed.
-      val storageThread = new Thread(() => {
-        var next = storageHolder.pull()
-        while (next.isDefined) {
-          val (rows, schema) = next.get
-          sink.append(rows, schema)
-          next = storageHolder.pull()
-        }
-      }, s"storage-job-$runId")
-      storageThread.setDaemon(true)
-
-      val batchDurations = ArrayBuffer.empty[Long]
-      val t0 = System.nanoTime()
-
-      storageThread.start()
-      val intakeThread = new FeedSource(tweets, batchSize, ratePerSec).start(intakeHolder)
-
       // Prepared while the intake frames the first batch.
       val job = PredeployedJob.predeployed(spark, spec, mode, stores)
 
       // Active Feed Manager loop: one computing job at a time, next one
       // invoked when the previous finishes; EOF ends the feed.
-      var records = 0L
       var batches = 0
       var next = intakeHolder.pull()
       while (next.isDefined) {
-        val batch = next.get
         val b0 = System.nanoTime()
-        storageHolder.push((job(batch), job.schema))
+        storageHolder.push((job(next.get), job.schema))
         batchDurations += (System.nanoTime() - b0) / 1000000L
-        records += batch.size
         batches += 1
         onBatchDone(batches)
         next = intakeHolder.pull()
@@ -130,7 +137,16 @@ object IngestionFramework {
       intakeThread.join()
       val elapsedMs = (System.nanoTime() - t0) / 1000000L
 
-      IngestionReport(records, batches, elapsedMs, batchDurations.toSeq, sink)
+      IngestionReport(sink.count, batches, elapsedMs, batchDurations.toSeq, sink)
+    } catch {
+      case e: Throwable =>
+        // The computing job failed: stop the intake, let storage store what
+        // it was handed, and give the caller the cause.
+        intakeThread.interrupt()
+        storageHolder.close()
+        intakeThread.join(StopTimeoutMs)
+        storageThread.join(StopTimeoutMs)
+        throw e
     } finally {
       PartitionHolderManager.unregister(intakeHolder.id)
       PartitionHolderManager.unregister(storageHolder.id)

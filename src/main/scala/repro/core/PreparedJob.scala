@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.catalyst.expressions.ExprId
@@ -66,10 +66,12 @@ final class PreparedJob private (
   def plan: SparkPlan = prepared.plan
 
   /** Invoke the job on one batch of tweets. */
-  def apply(batch: Seq[Tweet]): Seq[Row] = invoke(batch.iterator.map(toRow(_).copy()).toArray)
+  def apply(batch: Seq[Tweet]): Array[InternalRow] = invoke(batch.iterator.map(toRow(_).copy()).toArray)
 
-  /** Invoke the job on one batch encoded with [[PreparedJob.BatchSchema]]. */
-  def invoke(batch: Array[InternalRow]): Seq[Row] = {
+  /** Invoke the job on one batch encoded with [[PreparedJob.BatchSchema]];
+    * returns the plan's `executeCollect()` output, rows encoded with [[schema]].
+    */
+  def invoke(batch: Array[InternalRow]): Array[InternalRow] = {
     val changed = mode match {
       case Static => Map.empty[ReferenceStore, ReferenceStore.Version]
       case Dynamic => prepared.reads.map(s => s -> s.current).filter { case (s, v) => v.number != bound(s).number }.toMap
@@ -81,7 +83,7 @@ final class PreparedJob private (
       else changed.map { case (s, v) => StoreSlot(s) -> ArraySeq.unsafeWrapArray(v.rows) }
     prepared = prepared.copy(plan = bind(prepared.plan, prepared.leaves,
       rebound + (BatchSlot -> ArraySeq.unsafeWrapArray(batch))))
-    ArraySeq.unsafeWrapArray(prepared.plan.executeCollect().map(prepared.fromRow))
+    prepared.plan.executeCollect()
   }
 
   /** Plan the enrichment over slot frames, the empty batch frame and one
@@ -105,7 +107,7 @@ final class PreparedJob private (
     val reads =
       if (compilesState) stores.all
       else leaves.values.collect { case StoreSlot(s) => s }.toSeq.distinct
-    Prepared(plan, leaves, reads, df.schema, ExpressionEncoder(df.schema).resolveAndBind().createDeserializer())
+    Prepared(plan, leaves, reads, df.schema)
   }
 }
 
@@ -131,8 +133,7 @@ object PreparedJob {
       plan: SparkPlan,
       leaves: Map[Seq[ExprId], Slot],
       reads: Seq[ReferenceStore],
-      schema: StructType,
-      fromRow: ExpressionEncoder.Deserializer[Row])
+      schema: StructType)
 
   private def slotKey(s: LocalTableScanExec): Seq[ExprId] = s.output.map(_.exprId)
 

@@ -20,20 +20,23 @@ final class FeedSource(
   require(batchSize > 0, s"batchSize must be positive, got $batchSize")
 
   /** Start the intake thread: frames are pushed until the source is
-    * exhausted, then the holder is closed (EOF). Returns the running thread
-    * so callers can join it.
+    * exhausted, then the holder is closed (EOF). Interrupting the thread
+    * stops it without EOF. Returns the running thread so callers can join
+    * or interrupt it.
     */
   def start(holder: PartitionHolder[Seq[Tweet]]): Thread = {
     val t = new Thread(() => {
       val perRecordNanos = ratePerSec.map(r => (1e9 / r).toLong)
-      tweets.grouped(batchSize).foreach { frame =>
-        perRecordNanos.foreach { n =>
-          val sleepMs = frame.size * n / 1000000
-          if (sleepMs > 0) Thread.sleep(sleepMs)
+      try {
+        tweets.grouped(batchSize).foreach { frame =>
+          perRecordNanos.foreach { n =>
+            val sleepMs = frame.size * n / 1000000
+            if (sleepMs > 0) Thread.sleep(sleepMs)
+          }
+          holder.push(frame)
         }
-        holder.push(frame)
-      }
-      holder.close()
+        holder.close()
+      } catch { case _: InterruptedException => } // the feed stopped: nobody pulls any more
     }, s"feed-intake-${System.identityHashCode(this)}")
     t.setDaemon(true)
     t.start()

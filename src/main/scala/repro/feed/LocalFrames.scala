@@ -3,9 +3,8 @@ package repro.feed
 import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicLong
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.catalyst.expressions.Attribute
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
@@ -39,14 +38,6 @@ object LocalFrames {
   private val FrameOption = "frame"
   private val frames = new ConcurrentHashMap[String, FrameTable]()
   private val nextId = new AtomicLong()
-
-  /** A converter from external rows, which must match `schema`, to frames.
-    * The serializer is built here, once; the converter is not thread-safe.
-    */
-  def ofRows(spark: SparkSession, schema: StructType): IterableOnce[Row] => DataFrame = {
-    val toRow = ExpressionEncoder(schema).createSerializer()
-    rows => ofInternalRows(spark, schema, rows.iterator.map(r => toRow(r).copy()).toArray)
-  }
 
   /** A frame over rows already encoded with `schema`. The frame reads
     * `rows` itself, not a copy, so the caller must not change them.

@@ -40,18 +40,7 @@ final class PartitionHolder[T](val id: String, val capacity: Int) {
   def close(): Unit = queue.put(PartitionHolder.Eof)
 
   /** Frames currently buffered (excluding a pending EOF sentinel). */
-  def size: Int = queue.asScalaCount
-
-  private implicit class QueueOps(q: ArrayBlockingQueue[AnyRef]) {
-    def asScalaCount: Int = {
-      val it = q.iterator()
-      var n = 0
-      while (it.hasNext) { if (it.next() ne PartitionHolder.Eof) n += 1 }
-      n
-    }
-  }
-
-  def isDrained: Boolean = drained
+  def size: Int = queue.toArray.count(_ ne PartitionHolder.Eof)
 }
 
 object PartitionHolder {

@@ -1,11 +1,9 @@
 package repro.text
 
-import org.apache.spark.sql.SparkSession
-
 /** String-processing substrate for the Fuzzy Suspects use case (paper §7.2
   * use case 4): the paper combines a Java UDF (`testlib#removeSpecial`) with
   * SQL++'s `edit_distance`. Both are implemented here as pure Scala
-  * functions and registered as Spark SQL UDFs.
+  * functions, which the enrichments call from their own UDFs.
   */
 object Text {
 
@@ -45,13 +43,5 @@ object Text {
     if (a == null || b == null) return false
     if (math.abs(a.length - b.length) >= maxExclusive) return false
     editDistance(a, b) < maxExclusive
-  }
-
-  /** Register `remove_special` and `edit_distance` with the session's
-    * function registry (idempotent).
-    */
-  def register(spark: SparkSession): Unit = {
-    spark.udf.register("remove_special", (s: String) => removeSpecial(s))
-    spark.udf.register("edit_distance", (a: String, b: String) => editDistance(a, b))
   }
 }

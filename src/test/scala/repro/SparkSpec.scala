@@ -4,7 +4,10 @@ import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.types.StructType
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -20,6 +23,14 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** A decoder of rows encoded with `schema`, such as a prepared computing
+    * job's output (built from `job.schema`), into external `Row`s.
+    */
+  def decoder(schema: StructType): Array[InternalRow] => Seq[Row] = {
+    val fromRow = ExpressionEncoder(schema).resolveAndBind().createDeserializer()
+    rows => rows.toSeq.map(fromRow)
+  }
 
   /** Spark jobs started by `body` on this thread. A marker job started
     * afterwards is seen by the listener only after every job before it.

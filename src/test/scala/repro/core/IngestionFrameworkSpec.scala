@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.jdk.CollectionConverters._
+
 import repro.{SparkSpec, TestRefs}
 import repro.data.{SafetyRating, TweetData}
 
@@ -189,5 +191,29 @@ class IngestionFrameworkSpec extends SparkSpec {
     val r = IngestionFramework.run(spark, TweetData.localTweets(50), 10, NoEnrichment, Dynamic,
       freshStores(), ratePerSec = Some(2000.0))
     assert(r.sink.count == 50)
+  }
+
+  private def liveFeedThreads(): Set[Thread] =
+    Thread.getAllStackTraces.keySet.asScala.filter(t =>
+      t.isAlive && (t.getName.startsWith("feed-intake-") || t.getName.startsWith("storage-job-"))).toSet
+
+  test("a computing-job failure stops the feed: the cause is rethrown and no feed thread lives on") {
+    val stores = freshStores()
+    val worded = stores.sensitiveWords.snapshot().collect().head.getAs[String]("country")
+    // The Java UDF calls text.contains for a tweet of a country that has
+    // sensitive words, so a null text fails its batch.
+    val fed = TweetData.localTweets(400)
+    val tweets = fed.updated(55, fed(55).copy(text = null, country = worded))
+    val before = liveFeedThreads()
+    val t0 = System.nanoTime()
+    val e = intercept[Throwable] {
+      IngestionFramework.run(spark, tweets, 10, JavaEnrichment("tweet_safety_check"), Dynamic, stores,
+        queueCapacity = 2)
+    }
+    val ms = (System.nanoTime() - t0) / 1000000L
+    assert(Iterator.iterate(e)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[NullPointerException]), e)
+    assert(ms < 30000, s"the failed feed took $ms ms to end")
+    val leaked = liveFeedThreads() -- before
+    assert(leaked.isEmpty, leaked.map(_.getName))
   }
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.Row
 
 import repro.{SparkSpec, TestRefs}
-import repro.data.TweetData
+import repro.data.{Tweet, TweetData}
 
 /** Predeployed vs. ad-hoc computing jobs: identical results and parameter
   * rebinding across invocations.
@@ -12,8 +12,14 @@ class PredeployedJobSpec extends SparkSpec {
 
   private lazy val stores = TestRefs.small(spark)
 
-  private def predeployed(name: String, s: RefStoreSet = stores) =
-    PredeployedJob.predeployed(spark, SqlEnrichment(name), Dynamic, s)
+  /** The named SQL enrichment as a predeployed job that returns its rows
+    * decoded.
+    */
+  private def predeployed(name: String, s: RefStoreSet = stores): Seq[Tweet] => Seq[Row] = {
+    val job = PredeployedJob.predeployed(spark, SqlEnrichment(name), Dynamic, s)
+    val out = decoder(job.schema)
+    batch => out(job(batch))
+  }
 
   /** The named columns of `rows` as strings, ordered by id. */
   private def columns(rows: Seq[Row], names: String*): Seq[String] =

@@ -1,13 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions.max
 
 import repro.{SparkSpec, TestRefs}
-import repro.data.{ReligiousPopulation, SafetyRating, TweetData}
+import repro.data.{ReligiousPopulation, SafetyRating, SensitiveWord, Tweet, TweetData}
 
 /** The prepared computing job: every invocation returns what a fresh
   * evaluation of the same enrichment over the same batch and reference
@@ -29,7 +30,18 @@ class PreparedJobSpec extends SparkSpec {
     }
   }
 
+  /** Make the first tweet of `next` that carries no sensitive keyword match
+    * a new SensitiveWords row (its country and the first word of its text),
+    * so that a job which sees the upsert must flag that tweet Red.
+    */
+  private def flagInNextBatch(stores: RefStoreSet, next: Seq[Tweet], round: Int): Unit =
+    next.find(t => !TweetData.sensitivePool.exists(t.text.contains)).foreach { t =>
+      stores.sensitiveWords.upsertProducts(Seq(SensitiveWord(s"flag$round", t.country, t.text.split(" ").head)))
+    }
+
   private def sorted(rows: Seq[Row]): Seq[String] = rows.map(_.toString).sorted
+
+  private def batchAt(k: Int): Seq[Tweet] = TweetData.localTweets(batchSizes(k), seed = 50 + k)
 
   private val specs: Seq[EnrichmentSpec] =
     Enrichments.byName.keys.toSeq.sorted.map(SqlEnrichment(_)) ++
@@ -39,8 +51,9 @@ class PreparedJobSpec extends SparkSpec {
     test(s"$spec, $mode: every invocation equals a fresh evaluation, with upserts between batches") {
       val stores = TestRefs.small(spark)
       val job = PredeployedJob.predeployed(spark, spec, mode, stores)
+      val out = decoder(job.schema)
       batchSizes.zipWithIndex.foreach { case (n, k) =>
-        val batch = TweetData.localTweets(n, seed = 50 + k)
+        val batch = batchAt(k)
         val refs = if (mode == Dynamic) stores.snapshot else stores.staticRefs
         val df = spark.createDataFrame(batch)
         val fresh: DataFrame = spec match {
@@ -48,12 +61,13 @@ class PreparedJobSpec extends SparkSpec {
           case JavaEnrichment(name) => JavaUdfs.compile(name, refs)(df)
           case NoEnrichment => df
         }
-        val got = job(batch)
+        val got = out(job(batch))
         withClue(s"batch ${k + 1} of $n tweets: ") {
           assert(job.schema == fresh.schema)
           assert(sorted(got) == sorted(fresh.collect().toSeq))
         }
         upsertEveryStore(stores, k)
+        if (k + 1 < batchSizes.size) flagInNextBatch(stores, batchAt(k + 1), k)
       }
     }
 
@@ -85,9 +99,9 @@ class PreparedJobSpec extends SparkSpec {
     val batch = TweetData.localTweets(50)
     val expected = spark.createDataFrame(batch).collect().toSeq
     assert(job.plan.children.isEmpty, job.plan.treeString)
-    var got = Seq.empty[Row]
+    var got = Array.empty[InternalRow]
     assert(jobsStartedBy { got = job(batch) } == 0)
-    assert(got == expected)
+    assert(decoder(job.schema)(got) == expected)
   }
 
   test("a dynamic Java job recompiles only when a store version changes") {
@@ -101,7 +115,7 @@ class PreparedJobSpec extends SparkSpec {
     job(batch)
     assert(udfs.head eq compiled.head)
     stores.safetyRatings.upsertProducts(TweetData.countries.map(SafetyRating(_, "NEWSTATE")))
-    assert(job(batch).map(_.getAs[String]("safety_rating")).toSet == Set("NEWSTATE"))
+    assert(decoder(job.schema)(job(batch)).map(_.getAs[String]("safety_rating")).toSet == Set("NEWSTATE"))
     assert(!(udfs.head eq compiled.head))
   }
 

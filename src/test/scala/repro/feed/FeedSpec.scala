@@ -27,7 +27,6 @@ class FeedSpec extends SparkSpec {
     h.close()
     assert(h.pull() == Some(7))
     assert(h.pull() == None)
-    assert(h.isDrained)
     assert(h.pull() == None) // stays drained, non-blocking
   }
 

@@ -2,10 +2,10 @@ package repro.text
 
 import scala.util.Random
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Unit + seeded-property tests for the string-processing substrate. */
-class TextSpec extends SparkSpec {
+class TextSpec extends AnyFunSuite {
 
   /** Deterministic property harness: 200 random cases per property. */
   private def forAllSeeded(seed: Long)(f: Random => Unit): Unit = {
@@ -126,21 +126,5 @@ class TextSpec extends SparkSpec {
   test("editDistanceLessThan rejects nulls") {
     assert(!Text.editDistanceLessThan(null, "abc", 5))
     assert(!Text.editDistanceLessThan("abc", null, 5))
-  }
-
-  // --- Spark UDF registration --------------------------------------------
-
-  test("registered SQL UDFs evaluate correctly") {
-    Text.register(spark)
-    val row = spark.sql(
-      "SELECT remove_special('@ab_1!') AS r, edit_distance('kitten','sitting') AS d").head()
-    assert(row.getString(0) == "ab1")
-    assert(row.getInt(1) == 3)
-  }
-
-  test("UDF registration is idempotent") {
-    Text.register(spark)
-    Text.register(spark)
-    assert(spark.sql("SELECT edit_distance('a','b') AS d").head().getInt(0) == 1)
   }
 }
