@@ -51,7 +51,7 @@ final class PreparedJob private (
   private val session = batchFrame.queryExecution.sparkSession
 
   /** The version of each store the plan holds. */
-  private var bound: Map[ReferenceStore, ReferenceStore.Version] = stores.all.map { s =>
+  private var bound: Map[ReferenceStore, ReferenceStore#Version] = stores.all.map { s =>
     s -> (mode match {
       case Static => s.initial
       case Dynamic => s.current
@@ -72,10 +72,7 @@ final class PreparedJob private (
     * returns the plan's `executeCollect()` output, rows encoded with [[schema]].
     */
   def invoke(batch: Array[InternalRow]): Array[InternalRow] = {
-    val changed = mode match {
-      case Static => Map.empty[ReferenceStore, ReferenceStore.Version]
-      case Dynamic => prepared.reads.map(s => s -> s.current).filter { case (s, v) => v.number != bound(s).number }.toMap
-    }
+    val changed = prepared.reads.map(s => s -> s.current).filter { case (s, v) => v.number != bound(s).number }.toMap
     bound ++= changed
     val rebound: Map[Slot, Seq[InternalRow]] =
       if (changed.isEmpty) Map.empty
@@ -86,11 +83,11 @@ final class PreparedJob private (
     prepared.plan.executeCollect()
   }
 
-  /** Plan the enrichment over slot frames, the empty batch frame and one
-    * frame per store at its bound version, and prepare the physical plan.
+  /** Plan the enrichment over slot frames, the empty batch frame and each
+    * store's bound version's frame, and prepare the physical plan.
     */
   private def prepare(): Prepared = {
-    val frames = stores.all.map(s => s -> LocalFrames.ofInternalRows(spark, s.schema, bound(s).rows)).toMap
+    val frames = stores.all.map(s => s -> bound(s).frame).toMap
     val df = enrich(batchFrame, stores.refs(frames))
     val slotOf: Map[Table, Slot] =
       frames.map { case (s, f) => LocalFrames.tableOf(f) -> (StoreSlot(s): Slot) } +
@@ -104,9 +101,11 @@ final class PreparedJob private (
       .getOrElse(session.sparkContext.defaultParallelism)
     val plan = sizeShuffles(QueryExecution.prepareExecutedPlan(session, qe.sparkPlan), scanPartitions)
     check(plan, leaves)
-    val reads =
-      if (compilesState) stores.all
-      else leaves.values.collect { case StoreSlot(s) => s }.toSeq.distinct
+    val reads = mode match {
+      case Static => Nil
+      case Dynamic if compilesState => stores.all
+      case Dynamic => leaves.values.collect { case StoreSlot(s) => s }.toSeq.distinct
+    }
     Prepared(plan, leaves, reads, df.schema)
   }
 }
@@ -127,7 +126,8 @@ object PreparedJob {
   private final case class StoreSlot(store: ReferenceStore) extends Slot
 
   /** A prepared plan, its slot scans (keyed by their output attributes),
-    * the stores whose versions it depends on, and its output.
+    * the stores whose versions each invocation checks (none in Static
+    * mode), and its output.
     */
   private final case class Prepared(
       plan: SparkPlan,

@@ -48,9 +48,9 @@ final class RefStoreSet(
     religiousBuildings, facilities, sensitiveNames, districts, averageIncomes,
     residents, attackEvents)
 
-  def snapshot: Refs = refs(_.snapshot())
+  def snapshot: Refs = refs(_.current.frame)
 
-  lazy val staticRefs: Refs = refs(_.staticSnapshot)
+  def staticRefs: Refs = refs(_.initial.frame)
 
   /** One frame per store, in the order of [[Refs]]. */
   private[core] def refs(f: ReferenceStore => DataFrame): Refs = Refs(

@@ -29,9 +29,9 @@ import repro.feed.LocalFrames
   * upserted never hashes its keys. Only the rows upserted since the
   * previous version are applied.
   *
-  * A version's [[repro.feed.LocalFrames]] frame is built only when asked
-  * for ([[snapshot]]); the prepared computing job reads a version's rows
-  * through [[current]] and needs no frame.
+  * Each version owns one [[repro.feed.LocalFrames]] frame over its rows,
+  * built when first asked for; every reader of that version, the prepared
+  * computing job included, shares it.
   *
   * Thread-safe: the ingestion pipeline reads versions while an updater
   * thread upserts (paper §7.3). An upsert applies all of its rows and bumps
@@ -47,14 +47,23 @@ final class ReferenceStore private (
     base: Array[InternalRow],
     val primaryKey: String) {
 
-  import ReferenceStore.Version
-
   private val pkIdx = schema.fieldIndex(primaryKey)
   private val pkType = schema(pkIdx).dataType
   private val toRow = ExpressionEncoder(schema).createSerializer()
 
-  /** Version 0: the rows the store was built with. */
-  val initial: Version = Version(0L, base)
+  /** One version of the store: its number (the upserts applied before it)
+    * and its rows, encoded with the store's schema. The rows are shared by
+    * every reader of the version and must not be changed.
+    */
+  final class Version private[ReferenceStore] (val number: Long, val rows: Array[InternalRow]) {
+    /** The version's rows as a frame, built once, when first asked for. */
+    lazy val frame: DataFrame = LocalFrames.ofInternalRows(spark, schema, rows)
+  }
+
+  /** Version 0: the rows the store was built with — what a static (Model 3)
+    * pipeline holds on to for its whole lifetime.
+    */
+  val initial: Version = new Version(0L, base)
 
   private var ver: Long = 0L
   /** The last version built, and the rows upserted since (in order), each
@@ -66,14 +75,6 @@ final class ReferenceStore private (
   private var positions: mutable.HashMap[Any, Int] = _
   private var size = base.length
   private val upserted = mutable.HashSet.empty[Any]
-
-  /** A snapshot frozen at construction time — what a static (Model 3)
-    * pipeline holds on to for its whole lifetime. It is also version 0.
-    */
-  lazy val staticSnapshot: DataFrame = LocalFrames.ofInternalRows(spark, schema, base)
-
-  private var frameVer: Long = 0L
-  private var frame: DataFrame = _
 
   private def key(r: InternalRow): Any = r.get(pkIdx, pkType)
 
@@ -118,42 +119,22 @@ final class ReferenceStore private (
   def upsertProducts(ps: Seq[Product]): Unit =
     upsert(ps.map(p => Row.fromSeq(p.productIterator.toSeq)))
 
-  /** The current version: its number and its rows, read together. The
-    * rows are shared by every reader of the version and must not be
-    * changed.
-    */
+  /** The current version: its number and its rows, read together. */
   def current: Version = synchronized {
     if (built.number != ver) {
       val rows = java.util.Arrays.copyOf(built.rows, size)
       pending.foreach { case (pos, r) => rows(pos) = r }
       pending.clear()
-      built = Version(ver, rows)
+      built = new Version(ver, rows)
     }
     built
   }
 
-  /** Current merged view as a frame, built once per version so every reader
-    * of one version shares one local frame.
-    */
-  def snapshot(): DataFrame = synchronized {
-    val v = current
-    if (v.number == 0L) staticSnapshot
-    else {
-      if (frameVer != v.number) {
-        frame = LocalFrames.ofInternalRows(spark, schema, v.rows)
-        frameVer = v.number
-      }
-      frame
-    }
-  }
+  /** The current version's frame. */
+  def snapshot(): DataFrame = current.frame
 }
 
 object ReferenceStore {
-
-  /** One version of a store: its number (the upserts applied before it)
-    * and its rows, encoded with the store's schema.
-    */
-  final case class Version(number: Long, rows: Array[InternalRow])
 
   /** A store over `rows`, encoded once with `T`'s schema. */
   def apply[T <: Product : TypeTag](spark: SparkSession, name: String, rows: Seq[T], pk: String): ReferenceStore = {

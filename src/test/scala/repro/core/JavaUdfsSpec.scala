@@ -64,7 +64,7 @@ class JavaUdfsSpec extends SparkSpec {
   test("compile starts no Spark job, on static refs or on a snapshot after upserts") {
     val stores = TestRefs.small(spark)
     assert(jobsStartedBy(JavaUdfs.supported.foreach(JavaUdfs.compile(_, stores.staticRefs))) == 0)
-    stores.all.foreach(s => s.upsert(s.staticSnapshot.collect().take(1).toSeq))
+    stores.all.foreach(s => s.upsert(s.initial.frame.collect().take(1).toSeq))
     val refs = stores.snapshot
     assert(jobsStartedBy(JavaUdfs.supported.foreach(JavaUdfs.compile(_, refs))) == 0)
   }

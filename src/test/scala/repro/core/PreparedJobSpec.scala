@@ -26,7 +26,7 @@ class PreparedJobSpec extends SparkSpec {
   private def upsertEveryStore(stores: RefStoreSet, round: Int): Unit = {
     val donor = TestRefs.small(spark, seed = 100 + round, scale = 1.25)
     stores.all.zip(donor.all).foreach { case (s, d) =>
-      s.upsert(d.staticSnapshot.collect().toSeq.zipWithIndex.collect { case (r, i) if i % 3 == round % 3 => r })
+      s.upsert(d.initial.frame.collect().toSeq.zipWithIndex.collect { case (r, i) if i % 3 == round % 3 => r })
     }
   }
 

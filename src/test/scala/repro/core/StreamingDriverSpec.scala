@@ -71,4 +71,22 @@ class StreamingDriverSpec extends SparkSpec {
       .map(r => r.getLong(0) -> r.getString(1)).toMap
     assert((20L until 60L).forall(id => byId(id) == "JSTREAM"))
   }
+
+  test("a computing-job failure ends the streaming run: the cause is rethrown and no query stays active") {
+    val stores = TestRefs.small(spark)
+    val worded = stores.sensitiveWords.snapshot().collect().head.getAs[String]("country")
+    // As in IngestionFrameworkSpec: the Java UDF calls text.contains for a
+    // tweet of a country that has sensitive words, so a null text fails
+    // its micro-batch.
+    val fed = TweetData.localTweets(400)
+    val tweets = fed.updated(55, fed(55).copy(text = null, country = worded))
+    val t0 = System.nanoTime()
+    val e = intercept[Throwable] {
+      StreamingDriver.run(spark, tweets, 10, JavaEnrichment("tweet_safety_check"), Dynamic, stores)
+    }
+    val ms = (System.nanoTime() - t0) / 1000000L
+    assert(Iterator.iterate(e)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[NullPointerException]), e)
+    assert(ms < 30000, s"the failed run took $ms ms to end")
+    assert(spark.streams.active.isEmpty, spark.streams.active.map(_.name).toSeq)
+  }
 }

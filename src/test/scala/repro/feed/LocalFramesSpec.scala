@@ -68,9 +68,9 @@ class LocalFramesSpec extends SparkSpec {
       stores.attackEvents -> spark.createDataFrame(TweetData.localAttackEvents(150, 47)))
     assert(expected.map(_._1) == stores.all)
     for ((store, df) <- expected) withClue(store.name) {
-      assert(store.staticSnapshot eq store.snapshot())
-      assertOneLocalScan(store.staticSnapshot)
-      assertSameAs(store.staticSnapshot, df)
+      assert(store.initial.frame eq store.snapshot())
+      assertOneLocalScan(store.initial.frame)
+      assertSameAs(store.initial.frame, df)
     }
   }
 

@@ -6,7 +6,7 @@ import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{FilterExec, LocalTableScanExec, SparkPlan, UnionExec}
 import org.apache.spark.sql.execution.exchange.Exchange
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestRefs}
 import repro.data.{SafetyRating, TweetData}
 
 /** UPSERT/snapshot semantics of the LSM-analog reference store. */
@@ -22,9 +22,13 @@ class ReferenceStoreSpec extends SparkSpec {
     assert(s.deltaSize == 0)
   }
 
-  test("zero-delta snapshot returns the base plan (fast path)") {
+  test("snapshot() is current.frame, at version 0 and after an upsert") {
     val s = freshStore()
-    assert(s.snapshot() eq s.staticSnapshot)
+    assert(s.snapshot() eq s.initial.frame)
+    assert(s.snapshot() eq s.current.frame)
+    s.upsertProducts(Seq(SafetyRating("A0", "A")))
+    assert(s.snapshot() eq s.current.frame)
+    assert(!(s.snapshot() eq s.initial.frame))
   }
 
   test("upsert of a new key inserts") {
@@ -36,7 +40,7 @@ class ReferenceStoreSpec extends SparkSpec {
 
   test("upsert of an existing key replaces") {
     val s = freshStore(10)
-    val firstKey = s.staticSnapshot.select("country_code").head().getString(0)
+    val firstKey = s.initial.frame.select("country_code").head().getString(0)
     s.upsertProducts(Seq(SafetyRating(firstKey, "ZNEW")))
     val snap = s.snapshot()
     assert(snap.count() == 10)
@@ -73,11 +77,19 @@ class ReferenceStoreSpec extends SparkSpec {
     assert(!(s.snapshot() eq s1))
   }
 
-  test("staticSnapshot never sees updates") {
+  test("initial.frame never sees updates; staticRefs serves it") {
     val s = freshStore(5)
     s.upsertProducts(Seq(SafetyRating("D1", "A")))
-    assert(s.staticSnapshot.count() == 5)
+    assert(s.initial.frame.count() == 5)
     assert(s.snapshot().count() == 6)
+    val stores = TestRefs.small(spark)
+    stores.all.foreach(st => st.upsert(st.initial.frame.collect().take(1).toSeq))
+    val static = stores.staticRefs.productIterator.toSeq
+    assert(static.size == stores.all.size)
+    for ((frame, st) <- static.zip(stores.all)) withClue(st.name) {
+      assert(st.version == 1)
+      assert(frame.asInstanceOf[AnyRef] eq st.initial.frame)
+    }
   }
 
   test("an earlier snapshot plan is immune to later upserts") {
@@ -87,6 +99,15 @@ class ReferenceStoreSpec extends SparkSpec {
     s.upsertProducts(Seq(SafetyRating("E2", "A")))
     assert(snapAfterFirst.count() == 6)
     assert(s.snapshot().count() == 7)
+    // A version held across two later upserts builds its frame from its own rows.
+    val held = s.current
+    s.upsertProducts(Seq(SafetyRating("E1", "B"), SafetyRating("E3", "A")))
+    s.upsertProducts(Seq(SafetyRating("E4", "A")))
+    val keys = held.frame.collect().map(r => r.getString(0) -> r.getString(1)).toMap
+    assert(keys.size == 7 && keys("E1") == "A" && keys.contains("E2"))
+    assert(!keys.contains("E3") && !keys.contains("E4"))
+    assert(held.frame eq held.frame)
+    assert(s.snapshot().count() == 9)
   }
 
   test("upsert rejects rows of wrong arity") {
