@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{AdHocJob, SparkSpec}
 import repro.core._
 import repro.data.TweetData
 
@@ -22,8 +22,8 @@ class PredeployedJobBench extends SparkSpec {
     }
 
     // Warm both paths once so JIT/codegen caches don't bias the comparison.
-    val predeployed = PredeployedJob.predeployed(spark, SqlEnrichment("safety_rating"), Dynamic, stores)
-    val adhoc = PredeployedJob.adhoc(spark, "safety_rating", stores)
+    val predeployed = PreparedJob(spark, SqlEnrichment("safety_rating"), Dynamic, stores)
+    val adhoc = AdHocJob(spark, "safety_rating", stores)
     // Both paths stop at the encoded rows of the executed plan, so the
     // gap is parsing, analysis and planning, not a deserializer one pays.
     def runAdhoc(i: Int): Unit = adhoc(frames(i)).queryExecution.executedPlan.executeCollect()

@@ -193,11 +193,9 @@ object Enrichments {
         col("suspect_id"), col("religion_name"), col("threat_level")))), ",")
         as "suspicious_users_info")
 
-    leftEnrich(leftEnrich(leftEnrich(tweets, facAgg), bldAgg), susAgg,
-      Map.empty) // fills applied below so each column defaults independently
-      .withColumn("nearby_facilities", coalesce(col("nearby_facilities"), lit("")))
-      .withColumn("nearby_religious_buildings", coalesce(col("nearby_religious_buildings"), lit("")))
-      .withColumn("suspicious_users_info", coalesce(col("suspicious_users_info"), lit("")))
+    val withFacilities = leftEnrich(tweets, facAgg, Map("nearby_facilities" -> lit("")))
+    val withBuildings = leftEnrich(withFacilities, bldAgg, Map("nearby_religious_buildings" -> lit("")))
+    leftEnrich(withBuildings, susAgg, Map("suspicious_users_info" -> lit("")))
   }
 
   /** Use case 7 (Appendix G) — Tweet Context: district average income,
@@ -246,9 +244,9 @@ object Enrichments {
       .join(broadcast(ethByDistrict), col("district_area_id") === col("__d"), "left")
       .select(col("id"), col("ethnicity_dist"))
 
-    leftEnrich(leftEnrich(leftEnrich(tweets, income), facilitiesPerTweet), ethnicityPerTweet)
-      .withColumn("area_facilities", coalesce(col("area_facilities"), lit("")))
-      .withColumn("ethnicity_dist", coalesce(col("ethnicity_dist"), lit("")))
+    val withFacilities = leftEnrich(leftEnrich(tweets, income), facilitiesPerTweet,
+      Map("area_facilities" -> lit("")))
+    leftEnrich(withFacilities, ethnicityPerTweet, Map("ethnicity_dist" -> lit("")))
   }
 
   /** Use case 8 (Appendix H) — Worrisome Tweets: religions of buildings

@@ -9,26 +9,6 @@ import org.apache.spark.sql.types.StructType
 import repro.data.Tweet
 import repro.feed.{FeedSource, PartitionHolder, PartitionHolderManager, StorageSink}
 
-/** Which UDF is attached to the feed, and how it is evaluated. */
-sealed trait EnrichmentSpec
-/** Plain ingestion — the computing job just moves data (Figure 24). */
-case object NoEnrichment extends EnrichmentSpec
-/** Declarative (SQL++-analog) enrichment from [[Enrichments.byName]]. */
-final case class SqlEnrichment(name: String) extends EnrichmentSpec {
-  require(Enrichments.byName.contains(name), s"unknown SQL enrichment '$name'")
-}
-/** Per-record (Java-analog) enrichment from [[JavaUdfs]]. */
-final case class JavaEnrichment(name: String) extends EnrichmentSpec {
-  require(JavaUdfs.supported.contains(name), s"unknown Java enrichment '$name'")
-}
-
-/** When intermediate state is (re)built from reference data. */
-sealed trait RefreshMode
-/** Per computing job — the paper's new framework (Model 2). */
-case object Dynamic extends RefreshMode
-/** Once at feed start — the current-AsterixDB baseline (Model 3); stale. */
-case object Static extends RefreshMode
-
 /** Outcome of one ingestion run; `records` counts the rows stored. */
 final case class IngestionReport(
     records: Long,
@@ -49,9 +29,9 @@ final case class IngestionReport(
   *  - **intake job** — a [[FeedSource]] thread frames tweets into a passive
   *    [[PartitionHolder]] and closes it with EOF when the feed stops;
   *  - **computing job** — invoked repeatedly (this loop is the Active Feed
-  *    Manager): pull one batch, invoke the [[PreparedJob]] built by
-  *    [[PredeployedJob.predeployed]] on it, and push the enriched rows on,
-  *    still encoded as the prepared plan produced them;
+  *    Manager): pull one batch, invoke the feed's [[PreparedJob]] on it,
+  *    and push the enriched rows on, still encoded as the prepared plan
+  *    produced them;
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
   *
@@ -118,7 +98,7 @@ object IngestionFramework {
 
     try {
       // Prepared while the intake frames the first batch.
-      val job = PredeployedJob.predeployed(spark, spec, mode, stores)
+      val job = PreparedJob(spark, spec, mode, stores)
 
       // Active Feed Manager loop: one computing job at a time, next one
       // invoked when the previous finishes; EOF ends the feed.

@@ -18,6 +18,26 @@ import repro.data.Tweet
 import repro.feed.LocalFrames
 import repro.refstore.ReferenceStore
 
+/** Which UDF is attached to the feed, and how it is evaluated. */
+sealed trait EnrichmentSpec
+/** Plain ingestion — the computing job just moves data (Figure 24). */
+case object NoEnrichment extends EnrichmentSpec
+/** Declarative (SQL++-analog) enrichment from [[Enrichments.byName]]. */
+final case class SqlEnrichment(name: String) extends EnrichmentSpec {
+  require(Enrichments.byName.contains(name), s"unknown SQL enrichment '$name'")
+}
+/** Per-record (Java-analog) enrichment from [[JavaUdfs]]. */
+final case class JavaEnrichment(name: String) extends EnrichmentSpec {
+  require(JavaUdfs.supported.contains(name), s"unknown Java enrichment '$name'")
+}
+
+/** When intermediate state is (re)built from reference data. */
+sealed trait RefreshMode
+/** Per computing job — the paper's new framework (Model 2). */
+case object Dynamic extends RefreshMode
+/** Once at feed start — the current-AsterixDB baseline (Model 3); stale. */
+case object Static extends RefreshMode
+
 /** A computing job prepared once (paper §5.1): the enrichment is planned
   * over slot frames and prepared into a physical plan, without adaptive
   * execution, when the job is built; each invocation binds its batch into
@@ -35,7 +55,9 @@ import repro.refstore.ReferenceStore
   * reading it through scans, so a version change recompiles and re-prepares
   * it; invocations between changes only rebind the batch.
   *
-  * Not thread-safe: one computing loop invokes the job.
+  * [[PreparedJob.apply]] builds the one computing job of both drivers,
+  * [[IngestionFramework]] and [[StreamingDriver]]. Not thread-safe: one
+  * computing loop invokes the job.
   */
 final class PreparedJob private (
     spark: SparkSession,
@@ -112,6 +134,26 @@ final class PreparedJob private (
 
 object PreparedJob {
 
+  /** Build the computing job for `spec` under `mode`. Static mode binds
+    * every store's version 0 for good. Dynamic invocations rebind each
+    * store the job reads whose version has changed, so each batch sees
+    * exactly the upserts applied before it started. With no enrichment the
+    * plan is the batch scan alone.
+    */
+  def apply(spark: SparkSession, spec: EnrichmentSpec, mode: RefreshMode, stores: RefStoreSet): PreparedJob =
+    spec match {
+      case NoEnrichment =>
+        new PreparedJob(spark, stores, mode, (batch, _) => batch, compilesState = false)
+      case SqlEnrichment(name) =>
+        new PreparedJob(spark, stores, mode, Enrichments.byName(name), compilesState = false)
+      case JavaEnrichment(name) =>
+        new PreparedJob(spark, stores, mode, (batch, refs) => JavaUdfs.compile(name, refs)(batch),
+          compilesState = true)
+    }
+
+  /** A job over an enrichment that no spec names: only the build checks'
+    * specs use it.
+    */
   private[core] def apply(
       spark: SparkSession, stores: RefStoreSet, mode: RefreshMode,
       enrich: (DataFrame, Refs) => DataFrame, compilesState: Boolean): PreparedJob =

@@ -6,10 +6,9 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.data.Tweet
 import repro.feed.StorageSink
 
-/** Structured Streaming face of the framework: the computing job built by
-  * [[PredeployedJob.predeployed]], driven by `foreachBatch` over a
-  * micro-batched stream instead of the explicit intake / storage holders of
-  * [[IngestionFramework]].
+/** Structured Streaming face of the framework: the [[PreparedJob]] of
+  * [[IngestionFramework]], driven by `foreachBatch` over a micro-batched
+  * stream instead of the explicit intake / storage holders.
   *
   * The job is prepared once, before the query starts, and invoked once per
   * micro-batch; in Dynamic mode each invocation rebinds the reference
@@ -17,6 +16,11 @@ import repro.feed.StorageSink
   * joins against reference data that changes underneath a stream. The two
   * drivers must produce identical rows for identical inputs; a test
   * asserts it.
+  *
+  * The source stays a `MemoryStream`, because showing the framework as a
+  * standard Structured Streaming query is this driver's purpose; the
+  * ingestion benchmark (`perfbench/`) measures [[IngestionFramework]], not
+  * this driver.
   */
 object StreamingDriver {
 
@@ -34,7 +38,7 @@ object StreamingDriver {
     val sink = new StorageSink()
     val stream = MemoryStream[Tweet]
 
-    val job = PredeployedJob.predeployed(spark, spec, mode, stores)
+    val job = PreparedJob(spark, spec, mode, stores)
 
     // The micro-batch is a local relation of tweets: its plan hands over
     // the encoded rows without a Spark job.

@@ -35,9 +35,11 @@ object Text {
     prev(b.length)
   }
 
-  /** Threshold-aware edit distance: returns true iff distance < maxExclusive.
-    * Early-exits when the band minimum already exceeds the threshold, which
-    * is the dominant case in a similarity join.
+  /** True iff the edit distance of `a` and `b` is below `maxExclusive`
+    * (false if either is null). Strings whose lengths differ by at least
+    * `maxExclusive` are rejected without computing anything, since the
+    * distance is at least that difference; all others run the full
+    * [[editDistance]] DP.
     */
   def editDistanceLessThan(a: String, b: String, maxExclusive: Int): Boolean = {
     if (a == null || b == null) return false

@@ -6,7 +6,7 @@ import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec, CartesianProductExec, ShuffledHashJoinExec, SortMergeJoinExec}
 
-import repro.{SparkSpec, TestRefs}
+import repro.{AdHocJob, SparkSpec, TestRefs}
 import repro.data.{SafetyRating, TweetData}
 
 /** Join strategies of the computing job under the test session's settings
@@ -41,10 +41,10 @@ class JoinPlanSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     def joins(plan: SparkPlan): Seq[String] =
       collect(plan) { case j: BaseJoinExec => j.getClass.getSimpleName }
     for (name <- Seq("safety_rating", "religious_population")) {
-      val job = PredeployedJob.predeployed(spark, SqlEnrichment(name), Dynamic, stores)
+      val job = PreparedJob(spark, SqlEnrichment(name), Dynamic, stores)
       job(TweetData.localTweets(100))
       val pre = job.plan
-      val ad = executed(PredeployedJob.adhoc(spark, name, stores)(batch))
+      val ad = executed(AdHocJob(spark, name, stores)(batch))
       assert(joins(ad) == joins(pre), s"$name\n${ad.treeString}\n${pre.treeString}")
       assert(joins(pre) == Seq("BroadcastHashJoinExec"), name)
     }

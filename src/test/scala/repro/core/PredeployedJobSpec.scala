@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Row
 
-import repro.{SparkSpec, TestRefs}
+import repro.{AdHocJob, SparkSpec, TestRefs}
 import repro.data.{Tweet, TweetData}
 
 /** Predeployed vs. ad-hoc computing jobs: identical results and parameter
@@ -16,7 +16,7 @@ class PredeployedJobSpec extends SparkSpec {
     * decoded.
     */
   private def predeployed(name: String, s: RefStoreSet = stores): Seq[Tweet] => Seq[Row] = {
-    val job = PredeployedJob.predeployed(spark, SqlEnrichment(name), Dynamic, s)
+    val job = PreparedJob(spark, SqlEnrichment(name), Dynamic, s)
     val out = decoder(job.schema)
     batch => out(job(batch))
   }
@@ -28,7 +28,7 @@ class PredeployedJobSpec extends SparkSpec {
   test("predeployed and ad-hoc jobs return identical rows") {
     val batch = TweetData.localTweets(80)
     val pre = predeployed("safety_rating")
-    val ad = PredeployedJob.adhoc(spark, "safety_rating", stores)
+    val ad = AdHocJob(spark, "safety_rating", stores)
     val a = columns(pre(batch), "id", "safety_rating")
     val b = ad(spark.createDataFrame(batch)).select("id", "safety_rating").orderBy("id").collect().map(_.toString).toSeq
     assert(a == b)
@@ -37,7 +37,7 @@ class PredeployedJobSpec extends SparkSpec {
   test("predeployed and ad-hoc agree for the group-by enrichment too") {
     val batch = TweetData.localTweets(60)
     val pre = predeployed("religious_population")
-    val ad = PredeployedJob.adhoc(spark, "religious_population", stores)
+    val ad = AdHocJob(spark, "religious_population", stores)
     val a = columns(pre(batch), "id", "religious_population")
     val b = ad(spark.createDataFrame(batch)).select("id", "religious_population").orderBy("id")
       .collect().map(_.toString).toSeq
@@ -63,7 +63,7 @@ class PredeployedJobSpec extends SparkSpec {
 
   test("ad-hoc path rejects enrichments without SQL text") {
     intercept[IllegalArgumentException] {
-      PredeployedJob.adhoc(spark, "tweet_context", stores)
+      AdHocJob(spark, "tweet_context", stores)
     }
   }
 }

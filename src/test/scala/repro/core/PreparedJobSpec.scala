@@ -50,7 +50,7 @@ class PreparedJobSpec extends SparkSpec {
   for (spec <- specs; mode <- Seq(Dynamic, Static))
     test(s"$spec, $mode: every invocation equals a fresh evaluation, with upserts between batches") {
       val stores = TestRefs.small(spark)
-      val job = PredeployedJob.predeployed(spark, spec, mode, stores)
+      val job = PreparedJob(spark, spec, mode, stores)
       val out = decoder(job.schema)
       batchSizes.zipWithIndex.foreach { case (n, k) =>
         val batch = batchAt(k)
@@ -73,7 +73,7 @@ class PreparedJobSpec extends SparkSpec {
 
   test("religious_population runs its group-by once per ReligiousPopulations version") {
     val stores = TestRefs.small(spark)
-    val job = PredeployedJob.predeployed(spark, SqlEnrichment("religious_population"), Dynamic, stores)
+    val job = PreparedJob(spark, SqlEnrichment("religious_population"), Dynamic, stores)
     val batch = TweetData.localTweets(40)
     job(batch)
     assert(jobsStartedBy(job(batch)) == 1)
@@ -87,7 +87,7 @@ class PreparedJobSpec extends SparkSpec {
 
   test("a static job builds its reference state once, whatever the upserts") {
     val stores = TestRefs.small(spark)
-    val job = PredeployedJob.predeployed(spark, SqlEnrichment("religious_population"), Static, stores)
+    val job = PreparedJob(spark, SqlEnrichment("religious_population"), Static, stores)
     val batch = TweetData.localTweets(40)
     job(batch)
     stores.religiousPopulations.upsertProducts(Seq(ReligiousPopulation("rp000001", "US", "alpha", 7L)))
@@ -95,7 +95,7 @@ class PreparedJobSpec extends SparkSpec {
   }
 
   test("a no-enrichment job is the batch scan alone and starts no Spark job") {
-    val job = PredeployedJob.predeployed(spark, NoEnrichment, Dynamic, TestRefs.small(spark))
+    val job = PreparedJob(spark, NoEnrichment, Dynamic, TestRefs.small(spark))
     val batch = TweetData.localTweets(50)
     val expected = spark.createDataFrame(batch).collect().toSeq
     assert(job.plan.children.isEmpty, job.plan.treeString)
@@ -106,7 +106,7 @@ class PreparedJobSpec extends SparkSpec {
 
   test("a dynamic Java job recompiles only when a store version changes") {
     val stores = TestRefs.small(spark)
-    val job = PredeployedJob.predeployed(spark, JavaEnrichment("safety_rating"), Dynamic, stores)
+    val job = PreparedJob(spark, JavaEnrichment("safety_rating"), Dynamic, stores)
     def udfs = job.plan.flatMap(_.expressions.flatMap(_.collect { case u: ScalaUDF => u.function }))
     val batch = TweetData.localTweets(40)
     job(batch)
@@ -119,6 +119,22 @@ class PreparedJobSpec extends SparkSpec {
     assert(!(udfs.head eq compiled.head))
   }
 
+  test("a static Java job compiles its state once, whatever the upserts") {
+    val stores = TestRefs.small(spark)
+    val job = PreparedJob(spark, JavaEnrichment("safety_rating"), Static, stores)
+    def udfs = job.plan.flatMap(_.expressions.flatMap(_.collect { case u: ScalaUDF => u.function }))
+    val batch = TweetData.localTweets(40)
+    def ratings: Map[Long, String] =
+      decoder(job.schema)(job(batch)).map(r => r.getAs[Long]("id") -> r.getAs[String]("safety_rating")).toMap
+    val version0 = ratings
+    val compiled = udfs
+    assert(compiled.size == 1)
+    assert(version0.values.exists(_ != null))
+    stores.safetyRatings.upsertProducts(TweetData.countries.map(SafetyRating(_, "NEWSTATE")))
+    assert(ratings == version0)
+    assert(udfs.head eq compiled.head)
+  }
+
   private def leafParallelism: Int =
     spark.conf.getOption("spark.sql.leafNodeDefaultParallelism").map(_.toInt)
       .getOrElse(spark.sparkContext.defaultParallelism)
@@ -126,7 +142,7 @@ class PreparedJobSpec extends SparkSpec {
   test("prepared plans hold no adaptive plan and no shuffle wider than a local scan") {
     val stores = TestRefs.small(spark)
     val widths = Enrichments.byName.keys.toSeq.sorted.flatMap { name =>
-      val plan = PredeployedJob.predeployed(spark, SqlEnrichment(name), Dynamic, stores).plan
+      val plan = PreparedJob(spark, SqlEnrichment(name), Dynamic, stores).plan
       assert(plan.collect { case a: AdaptiveSparkPlanExec => a }.isEmpty, s"$name\n${plan.treeString}")
       plan.collect { case s: ShuffleExchangeExec => s.outputPartitioning.numPartitions }
     }
