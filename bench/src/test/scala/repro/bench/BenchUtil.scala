@@ -29,6 +29,12 @@ object BenchUtil {
     IngestionFramework.run(spark, TweetData.localTweets(n), batch, spec, mode, stores,
       onBatchDone = onBatchDone)
 
+  /** The median of `xs`: the mean of the two middle values of an even count. */
+  def median(xs: Seq[Double]): Double = {
+    val s = xs.sorted
+    (s((s.size - 1) / 2) + s(s.size / 2)) / 2
+  }
+
   /** The five Figure-25 use cases (paper §7.2). */
   val simpleUdfs: Seq[String] = Seq(
     "safety_rating", "religious_population", "largest_religions",

@@ -44,12 +44,8 @@ class Fig31ClusterScaleBench extends SparkSpec {
     // frames; then rounds that alternate which variant runs first.
     variants.foreach(rate)
     val rounds = (0 until 6).map(r => (if (r % 2 == 0) variants else variants.reverse).map(u => u -> rate(u)).toMap)
-    def median(u: String): Double = {
-      val xs = rounds.map(_(u)).sorted
-      (xs((xs.size - 1) / 2) + xs(xs.size / 2)) / 2
-    }
-    val idx = median("nearby_monuments")
-    val naive = median("naive_nearby_monuments")
+    val idx = BenchUtil.median(rounds.map(_("nearby_monuments")))
+    val naive = BenchUtil.median(rounds.map(_("naive_nearby_monuments")))
     BenchUtil.row("config", s"median throughput rec/s of ${rounds.size} warm rounds")
     BenchUtil.row("indexed (gridJoin)", idx)
     BenchUtil.row("naive (cross+filter)", naive)

@@ -2,14 +2,15 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
-import org.apache.spark.sql.catalyst.expressions.ExprId
+import org.apache.spark.sql.catalyst.expressions.{Attribute, ExprId, Predicate, UnsafeProjection, UnsafeRow}
 import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
 import org.apache.spark.sql.connector.catalog.Table
-import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.{FilterExec, InputAdapter, LeafExecNode, LocalTableScanExec, ProjectExec, QueryExecution, SparkPlan, WholeStageCodegenExec}
+import org.apache.spark.sql.execution.exchange.{BroadcastExchangeExec, ShuffleExchangeExec}
 import org.apache.spark.sql.execution.joins.{CartesianProductExec, ShuffledHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.StructType
@@ -121,7 +122,8 @@ final class PreparedJob private (
     }.toMap
     val scanPartitions = session.sessionState.conf.getConf(SQLConf.LEAF_NODE_DEFAULT_PARALLELISM)
       .getOrElse(session.sparkContext.defaultParallelism)
-    val plan = sizeShuffles(QueryExecution.prepareExecutedPlan(session, qe.sparkPlan), scanPartitions)
+    val plan = buildOnDriver(
+      sizeShuffles(QueryExecution.prepareExecutedPlan(session, qe.sparkPlan), scanPartitions), leaves)
     check(plan, leaves)
     val reads = mode match {
       case Static => Nil
@@ -179,15 +181,85 @@ object PreparedJob {
 
   private def slotKey(s: LocalTableScanExec): Seq[ExprId] = s.output.map(_.exprId)
 
-  /** Copy `plan` with `rows` bound into the scans of their slots. An
-    * operator none of whose descendants is rebound is kept as it is.
+  /** Copy `plan` with `rows` bound into the scans of their slots and into
+    * the build sides evaluated on the driver over them. An operator none of
+    * whose descendants is rebound is kept as it is.
     */
   private def bind(plan: SparkPlan, leaves: Map[Seq[ExprId], Slot], rows: Map[Slot, Seq[InternalRow]]): SparkPlan =
     plan match {
       case s: LocalTableScanExec =>
         leaves.get(slotKey(s)).flatMap(rows.get).fold[SparkPlan](s)(r => s.copy(rows = r))
+      case d: DriverSide =>
+        leaves.get(slotKey(d.scan)).flatMap(rows.get).fold[SparkPlan](d)(onDriver(d.template, _))
       case p => p.withNewChildren(p.children.map(bind(_, leaves, rows)))
     }
+
+  /** A broadcast's build side evaluated on the driver: `rows` are what
+    * `template`, the build side it replaces, outputs over one version of its
+    * store. The exchange collects them without a Spark job and builds and
+    * broadcasts its relation from them as it would from a collect. The
+    * template's scan holds no rows: binding the store's next version
+    * evaluates the template again, over that version's rows.
+    */
+  private[core] final case class DriverSide(template: SparkPlan, rows: Array[InternalRow]) extends LeafExecNode {
+    def scan: LocalTableScanExec = template.collectFirst { case s: LocalTableScanExec => s }.get
+    override def output: Seq[Attribute] = template.output
+    override def executeCollect(): Array[InternalRow] = rows
+    override def executeCollectIterator(): (Long, Iterator[InternalRow]) = (rows.length.toLong, rows.iterator)
+    override protected def doExecute(): RDD[InternalRow] =
+      throw new UnsupportedOperationException(s"$nodeName only serves a broadcast's build side")
+    override def simpleString(maxFields: Int): String =
+      s"$nodeName ${output.mkString("[", ", ", "]")}, ${rows.length} rows"
+  }
+
+  private def onDriver(template: SparkPlan, version: Seq[InternalRow]): DriverSide =
+    DriverSide(template, evaluate(template, version).toArray)
+
+  /** The scan of a build side made of a local scan and, above it, only
+    * codegen stages, input adapters, filters and projections.
+    */
+  private def driverScan(p: SparkPlan): Option[LocalTableScanExec] = p match {
+    case s: LocalTableScanExec => Some(s)
+    case _: WholeStageCodegenExec | _: InputAdapter | _: FilterExec | _: ProjectExec => driverScan(p.children.head)
+    case _ => None
+  }
+
+  /** The rows that a build side [[driverScan]] accepts outputs when its
+    * scan holds `version`, evaluated on the calling thread. They are
+    * `UnsafeRow`s, as the exchange's relation needs.
+    */
+  private def evaluate(p: SparkPlan, version: Seq[InternalRow]): Iterator[InternalRow] = p match {
+    case s: LocalTableScanExec =>
+      lazy val toUnsafe = UnsafeProjection.create(s.output, s.output)
+      version.iterator.map {
+        case u: UnsafeRow => u
+        case r => toUnsafe(r).copy()
+      }
+    case f: FilterExec =>
+      val keep = Predicate.create(f.condition, f.child.output)
+      keep.initialize(0)
+      evaluate(f.child, version).filter(keep.eval)
+    case pr: ProjectExec =>
+      val project = UnsafeProjection.create(pr.projectList, pr.child.output)
+      project.initialize(0)
+      evaluate(pr.child, version).map(project(_).copy())
+    case _ => evaluate(p.children.head, version)
+  }
+
+  /** Replace the build side of each broadcast that reads one store slot
+    * through codegen stages, input adapters, filters and projections only
+    * with a [[DriverSide]] over the rows its scan holds. Every other build
+    * side (an aggregate, a window, a join, a generator, the batch) runs as a
+    * Spark job, as before.
+    */
+  private def buildOnDriver(plan: SparkPlan, leaves: Map[Seq[ExprId], Slot]): SparkPlan = plan.transformUp {
+    case b: BroadcastExchangeExec if b.child.subqueriesAll.isEmpty =>
+      val storeScan = driverScan(b.child).filter(s => leaves.get(slotKey(s)).exists(_.isInstanceOf[StoreSlot]))
+      storeScan.fold[SparkPlan](b) { s =>
+        val template = bind(b.child, leaves, Map(leaves(slotKey(s)) -> Nil))
+        b.withNewChildren(Seq(onDriver(template, s.rows)))
+      }
+  }
 
   /** Without adaptive execution nothing coalesces shuffle partitions per
     * batch, so every hash shuffle gets as many partitions as a local scan
@@ -203,8 +275,10 @@ object PreparedJob {
     * apart).
     */
   private def check(plan: SparkPlan, leaves: Map[Seq[ExprId], Slot]): Unit = {
-    def slotScans(p: SparkPlan): Seq[Seq[ExprId]] =
-      p.collect { case s: LocalTableScanExec if leaves.contains(slotKey(s)) => slotKey(s) }
+    def slotScans(p: SparkPlan): Seq[Seq[ExprId]] = p.collect {
+      case s: LocalTableScanExec if leaves.contains(slotKey(s)) => slotKey(s)
+      case d: DriverSide => slotKey(d.scan)
+    }
     val inSubqueries = plan.subqueriesAll.flatMap(slotScans)
     if (inSubqueries.nonEmpty)
       throw new IllegalStateException(s"a slot scan sits in a subquery expression:\n${plan.treeString}")

@@ -3,9 +3,10 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-import org.apache.spark.sql.functions.max
+import org.apache.spark.sql.execution.exchange.{BroadcastExchangeExec, ShuffleExchangeExec}
+import org.apache.spark.sql.functions.{broadcast, col, concat, lit, max}
 
 import repro.{SparkSpec, TestRefs}
 import repro.data.{ReligiousPopulation, SafetyRating, SensitiveWord, Tweet, TweetData}
@@ -83,6 +84,44 @@ class PreparedJobSpec extends SparkSpec {
     assert(jobsStartedBy(job(batch)) == 1)
     stores.safetyRatings.upsertProducts(Seq(SafetyRating("US", "Z")))
     assert(jobsStartedBy(job(batch)) == 1)
+  }
+
+  test("safety_rating starts one Spark job per batch: its broadcast input is built on the driver") {
+    val stores = TestRefs.small(spark)
+    val job = PreparedJob(spark, SqlEnrichment("safety_rating"), Dynamic, stores)
+    val batch = TweetData.localTweets(40)
+    assert(jobsStartedBy(job(batch)) == 1)
+    stores.safetyRatings.upsertProducts(Seq(SafetyRating("US", "Z")))
+    assert(jobsStartedBy(job(batch)) == 1)
+    assert(jobsStartedBy(job(batch)) == 1)
+  }
+
+  test("a filtered and projected store is broadcast from the driver and follows its upserts") {
+    val stores = TestRefs.small(spark)
+    def kept(refs: Refs): DataFrame = refs.safetyRatings.where(col("safety_rating") =!= "A")
+      .select(col("country_code"), concat(lit("rated "), col("safety_rating")) as "rating")
+    val enrich = (batch: DataFrame, refs: Refs) =>
+      batch.join(broadcast(kept(refs)), col("country") === col("country_code"), "left").drop("country_code")
+    val job = PreparedJob(spark, stores, Dynamic, enrich, compilesState = false)
+    val out = decoder(job.schema)
+    def buildSides: Seq[SparkPlan] = job.plan.collect { case b: BroadcastExchangeExec => b.child }
+    batchSizes.indices.foreach { k =>
+      val batch = batchAt(k)
+      val refs = stores.snapshot
+      val fresh = enrich(spark.createDataFrame(batch), refs).collect().toSeq
+      var got = Seq.empty[Row]
+      withClue(s"batch ${k + 1}: ") {
+        assert(jobsStartedBy { got = out(job(batch)) } == 1)
+        assert(sorted(got) == sorted(fresh))
+        assert(buildSides.size == 1 && buildSides.forall(_.isInstanceOf[PreparedJob.DriverSide]), job.plan.treeString)
+        assert(buildSides.head.executeCollect().length == kept(refs).count())
+      }
+      // Every tweet country flips between a rating the filter drops and one
+      // it keeps, and two new keys arrive, one of each.
+      stores.safetyRatings.upsertProducts(
+        TweetData.countries.zipWithIndex.map { case (c, i) => SafetyRating(c, if ((i + k) % 2 == 0) "A" else s"B$k") } ++
+          Seq(SafetyRating(s"NEW$k-A", "A"), SafetyRating(s"NEW$k-B", s"B$k")))
+    }
   }
 
   test("a static job builds its reference state once, whatever the upserts") {
