@@ -24,9 +24,10 @@ class PredeployedJobBench extends SparkSpec {
     // Warm both paths once so JIT/codegen caches don't bias the comparison.
     val predeployed = PreparedJob(spark, SqlEnrichment("safety_rating"), Dynamic, stores)
     val adhoc = AdHocJob(spark, "safety_rating", stores)
-    // Both paths stop at the encoded rows of the executed plan, so the
-    // gap is parsing, analysis and planning, not a deserializer one pays.
-    def runAdhoc(i: Int): Unit = adhoc(frames(i)).queryExecution.executedPlan.executeCollect()
+    // Both paths end in the prepared job's collector, at the encoded rows
+    // of the executed plan, so the gap is parsing, analysis and planning,
+    // not a deserializer or a way of collecting that only one side pays.
+    def runAdhoc(i: Int): Unit = PreparedJob.collect(adhoc(frames(i)).queryExecution.executedPlan)
     predeployed(batches.head)
     runAdhoc(0)
 

@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
@@ -91,8 +92,10 @@ final class PreparedJob private (
   /** Invoke the job on one batch of tweets. */
   def apply(batch: Seq[Tweet]): Array[InternalRow] = invoke(batch.iterator.map(toRow(_).copy()).toArray)
 
-  /** Invoke the job on one batch encoded with [[PreparedJob.BatchSchema]];
-    * returns the plan's `executeCollect()` output, rows encoded with [[schema]].
+  /** Invoke the job on one batch encoded with [[PreparedJob.BatchSchema]]
+    * (`UnsafeRow`s, as its encoder makes them); returns the plan's output
+    * rows, encoded with [[schema]]. A job with no enrichment returns the
+    * batch's own rows.
     */
   def invoke(batch: Array[InternalRow]): Array[InternalRow] = {
     val changed = prepared.reads.map(s => s -> s.current).filter { case (s, v) => v.number != bound(s).number }.toMap
@@ -103,7 +106,7 @@ final class PreparedJob private (
       else changed.map { case (s, v) => StoreSlot(s) -> ArraySeq.unsafeWrapArray(v.rows) }
     prepared = prepared.copy(plan = bind(prepared.plan, prepared.leaves,
       rebound + (BatchSlot -> ArraySeq.unsafeWrapArray(batch))))
-    prepared.plan.executeCollect()
+    collect(prepared.plan)
   }
 
   /** Plan the enrichment over slot frames, the empty batch frame and each
@@ -160,6 +163,26 @@ object PreparedJob {
       spark: SparkSession, stores: RefStoreSet, mode: RefreshMode,
       enrich: (DataFrame, Refs) => DataFrame, compilesState: Boolean): PreparedJob =
     new PreparedJob(spark, stores, mode, enrich, compilesState)
+
+  /** The rows `plan` outputs, in the order `executeCollect()` returns them.
+    * A bare scan returns the rows bound into it, with no job: they are the
+    * encoder's `UnsafeRow`s already, which `executeCollect()` would copy
+    * again. Any other plan runs one Spark job with [[CopyRows]], a named
+    * function rather than a lambda, so Spark's closure cleaner reads no
+    * class file for it; `executeCollect()` goes through `RDD.collect`, whose
+    * two lambdas it cleans on every job.
+    */
+  private[repro] def collect(plan: SparkPlan): Array[InternalRow] = plan match {
+    case s: LocalTableScanExec => s.rows.toArray
+    case _ =>
+      val rdd = plan.execute()
+      rdd.sparkContext.runJob(rdd, CopyRows, rdd.partitions.indices).flatten
+  }
+
+  /** One partition's rows, copied: generated code reuses its output row. */
+  private object CopyRows extends ((TaskContext, Iterator[InternalRow]) => Array[InternalRow]) with Serializable {
+    def apply(context: TaskContext, rows: Iterator[InternalRow]): Array[InternalRow] = rows.map(_.copy()).toArray
+  }
 
   /** Schema of the rows [[PreparedJob.invoke]] takes. */
   val BatchSchema: StructType = ExpressionEncoder[Tweet]().schema

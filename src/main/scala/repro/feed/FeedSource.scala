@@ -20,18 +20,26 @@ final class FeedSource(
   require(batchSize > 0, s"batchSize must be positive, got $batchSize")
 
   /** Start the intake thread: frames are pushed until the source is
-    * exhausted, then the holder is closed (EOF). Interrupting the thread
-    * stops it without EOF. Returns the running thread so callers can join
-    * or interrupt it.
+    * exhausted, then the holder is closed (EOF). With a rate, each frame is
+    * pushed once its last record is due, `records so far / rate` after the
+    * start, and never before: a late wake-up or a blocked push delays that
+    * frame, not the schedule. Interrupting the thread stops it without EOF.
+    * Returns the running thread so callers can join or interrupt it.
     */
   def start(holder: PartitionHolder[Seq[Tweet]]): Thread = {
     val t = new Thread(() => {
-      val perRecordNanos = ratePerSec.map(r => (1e9 / r).toLong)
+      val t0 = System.nanoTime()
+      var records = 0L
       try {
         tweets.grouped(batchSize).foreach { frame =>
-          perRecordNanos.foreach { n =>
-            val sleepMs = frame.size * n / 1000000
-            if (sleepMs > 0) Thread.sleep(sleepMs)
+          records += frame.size
+          ratePerSec.foreach { r =>
+            val due = t0 + (records * 1e9 / r).toLong
+            var wait = due - System.nanoTime()
+            while (wait > 0) {
+              Thread.sleep(wait / 1000000, (wait % 1000000).toInt)
+              wait = due - System.nanoTime()
+            }
           }
           holder.push(frame)
         }

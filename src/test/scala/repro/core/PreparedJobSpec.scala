@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
 import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
@@ -142,6 +143,30 @@ class PreparedJobSpec extends SparkSpec {
     assert(jobsStartedBy { got = job(batch) } == 0)
     assert(decoder(job.schema)(got) == expected)
   }
+
+  test("a no-enrichment job returns the very rows it was given") {
+    val job = PreparedJob(spark, NoEnrichment, Dynamic, TestRefs.small(spark))
+    val toRow = ExpressionEncoder[Tweet]().createSerializer()
+    val batch: Array[InternalRow] = TweetData.localTweets(50).map(toRow(_).copy()).toArray
+    val got = job.invoke(batch)
+    val same = got.indices.count(i => got(i) eq batch(i))
+    assert(got.length == batch.length && same == batch.length)
+    assert(got.toSeq == job.plan.executeCollect().toSeq)
+  }
+
+  for (spec <- Seq(SqlEnrichment("safety_rating"), SqlEnrichment("religious_population"), JavaEnrichment("safety_rating")))
+    test(s"$spec: an invocation returns the rows of executeCollect() on its bound plan, in order") {
+      val stores = TestRefs.small(spark)
+      val job = PreparedJob(spark, spec, Dynamic, stores)
+      (0 until 2).foreach { k =>
+        val got = job(batchAt(k))
+        withClue(s"batch ${k + 1}: ") {
+          assert(got.nonEmpty)
+          assert(got.toSeq == job.plan.executeCollect().toSeq)
+        }
+        upsertEveryStore(stores, k)
+      }
+    }
 
   test("a dynamic Java job recompiles only when a store version changes") {
     val stores = TestRefs.small(spark)

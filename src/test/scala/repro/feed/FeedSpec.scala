@@ -117,6 +117,29 @@ class FeedSpec extends SparkSpec {
     assert(ms >= 150, s"100 records at 500 rec/s should take >=200ms-ish, took ${ms}ms")
   }
 
+  test("rate-limited feed pushes each frame on schedule, not after the last push") {
+    // 10-record frames at 1000 rec/s: frame k (from 1) is due 10k ms after
+    // the start. A consumer stalls 200 ms on frame 2 while the holder holds
+    // one frame, so the push of frame 4 blocks until about 220 ms.
+    val h = new PartitionHolder[Seq[Tweet]]("fs5", 1)
+    val t0 = System.nanoTime()
+    val intake = new FeedSource(TweetData.localTweets(600), 10, ratePerSec = Some(1000.0)).start(h)
+    val pulledMs = ArrayBuffer.empty[Double]
+    var next = h.pull()
+    while (next.isDefined) {
+      pulledMs += (System.nanoTime() - t0) / 1e6
+      if (pulledMs.size == 2) Thread.sleep(200)
+      next = h.pull()
+    }
+    intake.join()
+    val lateMs = pulledMs.zipWithIndex.map { case (at, i) => at - 10.0 * (i + 1) }
+    assert(lateMs.size == 60)
+    assert(lateMs.forall(_ >= 0), s"a frame was pushed before it was due: $lateMs")
+    // Frames due from 350 ms on come after the catch-up that follows the stall.
+    val after = lateMs.drop(34)
+    assert(after.max < 100, s"the stall carried over to later frames (ms late): $after")
+  }
+
   test("feed rejects non-positive batch size") {
     intercept[IllegalArgumentException] { new FeedSource(Seq.empty, 0) }
   }
